@@ -1,13 +1,14 @@
 #include "baselines/dimension_reindexing.hpp"
 
+#include <limits>
 #include <numeric>
 
 #include "layout/permutation.hpp"
 
 namespace flo::baselines {
 
-ReindexResult apply_dimension_reindexing(const ir::Program& program,
-                                         const LayoutProfiler& profiler) {
+ReindexResult apply_dimension_reindexing(
+    const ir::Program& program, const BoundedLayoutProfiler& profiler) {
   ReindexResult result;
   // Start from the canonical row-major identity permutation per array.
   std::vector<std::vector<std::size_t>> best_order;
@@ -26,7 +27,8 @@ ReindexResult apply_dimension_reindexing(const ir::Program& program,
     return layouts;
   };
 
-  double best_time = profiler(build());
+  double best_time =
+      profiler(build(), std::numeric_limits<double>::infinity());
   ++result.evaluations;
 
   for (std::size_t a = 0; a < program.arrays().size(); ++a) {
@@ -36,7 +38,7 @@ ReindexResult apply_dimension_reindexing(const ir::Program& program,
       if (order == best_order[a]) continue;  // current best already timed
       const auto saved = best_order[a];
       best_order[a] = order;
-      const double t = profiler(build());
+      const double t = profiler(build(), best_time);
       ++result.evaluations;
       if (t < best_time) {
         best_time = t;
@@ -48,6 +50,14 @@ ReindexResult apply_dimension_reindexing(const ir::Program& program,
 
   result.layouts = build();
   return result;
+}
+
+ReindexResult apply_dimension_reindexing(const ir::Program& program,
+                                         const LayoutProfiler& profiler) {
+  return apply_dimension_reindexing(
+      program, [&](const layout::LayoutMap& layouts, double) {
+        return profiler(layouts);
+      });
 }
 
 }  // namespace flo::baselines

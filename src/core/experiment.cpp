@@ -43,6 +43,49 @@ std::vector<storage::NodeId> io_nodes_of_threads(
   return out;
 }
 
+/// Hands `use` the configured trace source for (schedule, layouts): the
+/// eager path materializes the trace first, the streaming path regenerates
+/// it per pass (CPU for memory). The events, and therefore every result,
+/// are identical either way.
+template <typename Use>
+auto with_trace_source(const ir::Program& program,
+                       const parallel::ParallelSchedule& schedule,
+                       const layout::LayoutMap& layouts,
+                       const storage::StorageTopology& topology,
+                       const ExperimentConfig& config, Use&& use) {
+  if (config.trace == TraceMode::kEager) {
+    const storage::TraceProgram trace =
+        trace::generate_trace(program, schedule, layouts, topology);
+    return use(storage::MaterializedTraceSource(trace));
+  }
+  // Extent emission follows the FLO_EXTENTS knob: the expanded stream is
+  // identical, so this only selects the simulator's batched fast path.
+  trace::TraceOptions trace_options;
+  trace_options.emit_extents = storage::extents_enabled();
+  return use(trace::StreamingTraceSource(program, schedule, layouts,
+                                         topology, trace_options));
+}
+
+/// A simulator for `source` under the configured policy and core.
+storage::HierarchySimulator make_simulator(
+    const storage::TraceSource& source,
+    const parallel::ParallelSchedule& schedule,
+    const storage::StorageTopology& topology, const ExperimentConfig& config) {
+  // KARMA's application hints: access densities of file segments, one
+  // eighth of an I/O cache each (profiling pass, Section 5.4).
+  std::vector<storage::RangeHint> hints;
+  if (config.policy == storage::PolicyKind::kKarma) {
+    const std::uint64_t segment =
+        std::max<std::uint64_t>(1, topology.io_cache_blocks() / 8);
+    hints = trace::profile_range_hints(source, segment);
+  }
+  storage::HierarchySimulator simulator(
+      topology, config.policy, io_nodes_of_threads(schedule, topology),
+      std::move(hints));
+  simulator.set_core(config.sim_core);
+  return simulator;
+}
+
 /// Simulates one (schedule, layouts) pair under the configured policy,
 /// via either the streaming or the eager trace path.
 storage::SimulationResult simulate(const ir::Program& program,
@@ -50,53 +93,22 @@ storage::SimulationResult simulate(const ir::Program& program,
                                    const layout::LayoutMap& layouts,
                                    const storage::StorageTopology& topology,
                                    const ExperimentConfig& config) {
-  // KARMA's application hints: access densities of file segments, one
-  // eighth of an I/O cache each (profiling pass, Section 5.4).
-  const std::uint64_t segment =
-      std::max<std::uint64_t>(1, topology.io_cache_blocks() / 8);
-  const bool karma = config.policy == storage::PolicyKind::kKarma;
-  std::vector<storage::RangeHint> hints;
-
-  // The I/O lower bound (core/io_lower_bound.hpp) depends only on the
-  // trace footprint, the capacities, and the policy — attach it to the
-  // result here so both trace paths (and every caller: benches, the
-  // service, flo_opt) report achieved vs. bound identically.
-  const auto attach_bound = [&](storage::SimulationResult result,
-                                const storage::TraceSource& source) {
-    const IoBound bound = compute_io_lower_bound(
-        source, io_nodes_of_threads(schedule, topology), topology,
-        config.policy);
-    result.io_bound_bytes = bound.io_bound_bytes;
-    result.storage_bound_bytes = bound.storage_bound_bytes;
-    return result;
-  };
-
-  if (config.trace == TraceMode::kEager) {
-    const storage::TraceProgram trace =
-        trace::generate_trace(program, schedule, layouts, topology);
-    if (karma) hints = trace::profile_range_hints(trace, segment);
-    storage::HierarchySimulator simulator(
-        topology, config.policy, io_nodes_of_threads(schedule, topology),
-        std::move(hints));
-    simulator.set_core(config.sim_core);
-    return attach_bound(simulator.run(trace),
-                        storage::MaterializedTraceSource(trace));
-  }
-
-  // Extent emission follows the FLO_EXTENTS knob: the expanded stream is
-  // identical, so this only selects the simulator's batched fast path.
-  trace::TraceOptions trace_options;
-  trace_options.emit_extents = storage::extents_enabled();
-  const trace::StreamingTraceSource source(program, schedule, layouts,
-                                           topology, trace_options);
-  // The streaming profiling pass regenerates the trace (CPU for memory);
-  // the hints are identical to the eager ones.
-  if (karma) hints = trace::profile_range_hints(source, segment);
-  storage::HierarchySimulator simulator(
-      topology, config.policy, io_nodes_of_threads(schedule, topology),
-      std::move(hints));
-  simulator.set_core(config.sim_core);
-  return attach_bound(simulator.run(source), source);
+  return with_trace_source(
+      program, schedule, layouts, topology, config,
+      [&](const storage::TraceSource& source) {
+        storage::SimulationResult result =
+            make_simulator(source, schedule, topology, config).run(source);
+        // The I/O lower bound (core/io_lower_bound.hpp) depends only on
+        // the trace footprint, the capacities, and the policy — attach it
+        // here so both trace paths (and every caller: benches, the
+        // service, flo_opt) report achieved vs. bound identically.
+        const IoBound bound = compute_io_lower_bound(
+            source, io_nodes_of_threads(schedule, topology), topology,
+            config.policy);
+        result.io_bound_bytes = bound.io_bound_bytes;
+        result.storage_bound_bytes = bound.storage_bound_bytes;
+        return result;
+      });
 }
 
 }  // namespace
@@ -151,16 +163,33 @@ CompiledExperiment compile_experiment(const ir::Program& program,
       break;
     }
     case Scheme::kDimensionReindexing: {
+      const obs::ScopedSpan profile_span("compile.reindex_profile",
+                                         "compile");
+      // Each candidate needs only its execution time: no lower-bound
+      // pass, and the simulation stops once it can no longer beat the
+      // search's current best (exact — see apply_dimension_reindexing).
       std::size_t runs = 0;
-      const auto profiler = [&](const layout::LayoutMap& candidate) {
+      std::size_t cutoffs = 0;
+      const auto profiler = [&](const layout::LayoutMap& candidate,
+                                double bound) {
         ++runs;
-        return simulate(program, out.schedule, candidate, topology, config)
-            .exec_time;
+        return with_trace_source(
+            program, out.schedule, candidate, topology, config,
+            [&](const storage::TraceSource& source) {
+              storage::HierarchySimulator simulator =
+                  make_simulator(source, out.schedule, topology, config);
+              const double t = simulator.run(source, bound).exec_time;
+              if (simulator.stopped()) ++cutoffs;
+              return t;
+            });
       };
       baselines::ReindexResult reindex =
           baselines::apply_dimension_reindexing(program, profiler);
       out.profiler_runs = runs;
       out.layouts = std::move(reindex.layouts);
+      if (obs::enabled()) {
+        obs::registry().counter("sim.profiler_cutoffs").add(cutoffs);
+      }
       break;
     }
   }

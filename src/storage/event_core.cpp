@@ -95,6 +95,7 @@ void EventEngine::run_phase_analytic(std::uint32_t thread) {
   } while (pump.refill());
   clock_[thread] = now;
   busy_[thread] += busy_acc;
+  if (now >= stop_at_) sim_.stopped_ = true;
 }
 
 void EventEngine::issue_block(std::uint32_t thread, double now) {
@@ -455,16 +456,26 @@ void EventEngine::fill_io_and_complete(std::uint32_t thread, double now) {
 void EventEngine::complete(std::uint32_t thread, double now) {
   busy_[thread] += now - req_[thread].issue;
   clock_[thread] = now;
+  if (now >= stop_at_) {
+    // The largest clock has reached the stop time: drop the pending
+    // events so run()'s loop ends here.
+    sim_.stopped_ = true;
+    queue_.clear();
+    return;
+  }
   CursorPump& pump = pumps_[thread];
   if (pump.exhausted() && !pump.refill()) return;  // stream drained
   queue_.push(now, EventKind::kThreadIssue, thread);
 }
 
-SimulationResult EventEngine::run(const TraceSource& source) {
+SimulationResult EventEngine::run(const TraceSource& source,
+                                  double stop_at) {
   const std::size_t threads = sim_.io_node_of_thread_.size();
   const std::size_t streams = source.thread_count();
   const auto& cfg = sim_.topology_.config();
   result_ = SimulationResult{};
+  stop_at_ = stop_at;
+  sim_.stopped_ = false;
   if (sim_.tenants_enabled()) result_.tenants.resize(sim_.tenant_count_);
   clock_.assign(threads, 0.0);
   busy_.assign(threads, 0.0);
@@ -495,8 +506,9 @@ SimulationResult EventEngine::run(const TraceSource& source) {
   }
 
   const bool analytic = analytic_eligible();
-  for (std::size_t p = 0; p < source.phase_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < source.phase_repeat(p); ++rep) {
+  for (std::size_t p = 0; p < source.phase_count() && !sim_.stopped_; ++p) {
+    for (std::uint32_t rep = 0;
+         rep < source.phase_repeat(p) && !sim_.stopped_; ++rep) {
       const double phase_start = clock_.empty() ? 0.0 : clock_[0];
       pumps_.clear();
       pumps_.reserve(streams);

@@ -48,7 +48,9 @@ class EventEngine {
   /// reset the shared state (HierarchySimulator::run does both).
   explicit EventEngine(HierarchySimulator& sim);
 
-  SimulationResult run(const TraceSource& source);
+  /// Runs the source to completion, or until a thread completes at or
+  /// past `stop_at` (HierarchySimulator::run documents the contract).
+  SimulationResult run(const TraceSource& source, double stop_at);
 
  private:
   /// Which path a request takes through the hierarchy, fixed at issue time
@@ -122,6 +124,7 @@ class EventEngine {
   std::vector<Request> req_;     ///< indexed by thread
   std::vector<double> clock_;    ///< per-thread completion clocks
   std::vector<double> busy_;     ///< per-thread busy time
+  double stop_at_ = 0;           ///< run()'s stop time
 
   std::vector<std::deque<std::uint32_t>> io_wait_;
   std::vector<char> io_busy_;

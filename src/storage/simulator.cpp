@@ -888,16 +888,18 @@ void HierarchySimulator::prepare_run(const TraceSource& source) {
   faults_.reset();  // replay the identical fault stream on every run
 }
 
-SimulationResult HierarchySimulator::run(const TraceSource& source) {
+SimulationResult HierarchySimulator::run(const TraceSource& source,
+                                         double stop_at) {
   prepare_run(source);
   if (core_ == SimCoreKind::kEvent) {
     EventEngine engine(*this);
-    return engine.run(source);
+    return engine.run(source, stop_at);
   }
-  return run_clock(source);
+  return run_clock(source, stop_at);
 }
 
-SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
+SimulationResult HierarchySimulator::run_clock(const TraceSource& source,
+                                               double stop_at) {
   SimulationResult result;
   if (tenants_enabled()) result.tenants.resize(tenant_count_);
   const std::size_t threads = io_node_of_thread_.size();
@@ -915,8 +917,10 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
     lane = next_lane.fetch_add(1);
   }
 
-  for (std::size_t p = 0; p < source.phase_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < source.phase_repeat(p); ++rep) {
+  stopped_ = false;
+  for (std::size_t p = 0; p < source.phase_count() && !stopped_; ++p) {
+    for (std::uint32_t rep = 0; rep < source.phase_repeat(p) && !stopped_;
+         ++rep) {
       // All clocks are barrier-aligned here, so clock[0] is the phase start.
       const double phase_start = clock.empty() ? 0.0 : clock[0];
       // Min-clock-first scheduling with thread id tiebreak: deterministic
@@ -958,6 +962,12 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
             // instead of underflowing the remaining-run counter.
             if (ev.run_blocks != 0) --ev.run_blocks;
           }
+          if (now >= stop_at) {
+            // The largest clock has reached the stop time: the full run's
+            // exec_time can only be larger, so the caller has its answer.
+            stopped_ = true;
+            break;
+          }
           if (pumps[t].exhausted() && !pumps[t].refill()) {
             finished = true;
             break;
@@ -965,6 +975,7 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
           if (!queue.empty() && !(ScheduleEntry{now, t} < queue.top())) break;
         }
         clock[t] = now;
+        if (stopped_) break;
         if (!finished) queue.push({now, t});
       }
       // Bulk-synchronous barrier between nests / repetitions.
@@ -987,8 +998,9 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
   return result;
 }
 
-SimulationResult HierarchySimulator::run(const TraceProgram& trace) {
-  return run(MaterializedTraceSource(trace));
+SimulationResult HierarchySimulator::run(const TraceProgram& trace,
+                                         double stop_at) {
+  return run(MaterializedTraceSource(trace), stop_at);
 }
 
 }  // namespace flo::storage

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <unordered_map>
@@ -52,11 +53,28 @@ class HierarchySimulator {
   /// Simulates the source's event streams from cold caches and returns
   /// aggregate results. Events are pulled one at a time through per-thread
   /// cursors, so memory stays O(threads) when the source generates lazily.
-  SimulationResult run(const TraceSource& source);
+  ///
+  /// `stop_at` bounds the run in virtual seconds: once the largest thread
+  /// clock reaches it, the run returns early with a partial result whose
+  /// exec_time is >= `stop_at`, and stopped() reports true. Because
+  /// exec_time is the largest clock plus the trailing write-back, a run
+  /// whose full exec_time is below `stop_at` never trips the check and is
+  /// bit-identical to an unbounded one (the default, +inf). Searches that
+  /// only need to know whether a candidate beats a known time use this to
+  /// abandon losers early (baselines/dimension_reindexing.hpp).
+  SimulationResult run(const TraceSource& source,
+                       double stop_at = kNoStopTime);
 
   /// Convenience wrapper: simulates a materialized trace (adapts it
   /// through MaterializedTraceSource; behaviour is bit-identical).
-  SimulationResult run(const TraceProgram& trace);
+  SimulationResult run(const TraceProgram& trace,
+                       double stop_at = kNoStopTime);
+
+  static constexpr double kNoStopTime =
+      std::numeric_limits<double>::infinity();
+
+  /// True when the last run() reached its `stop_at` and returned early.
+  bool stopped() const { return stopped_; }
 
   /// Extent fast paths on/off (default: the FLO_EXTENTS environment knob,
   /// on unless set to "0"). Off forces every multi-block event through the
@@ -93,7 +111,7 @@ class HierarchySimulator {
 
   /// The clock core: min-clock-first scheduling with inline continuation
   /// and the extent fast paths.
-  SimulationResult run_clock(const TraceSource& source);
+  SimulationResult run_clock(const TraceSource& source, double stop_at);
   /// Min-clock-first scheduler order: (virtual clock, thread id).
   using ScheduleEntry = std::pair<double, std::uint32_t>;
   using ScheduleQueue =
@@ -248,6 +266,7 @@ class HierarchySimulator {
   std::unordered_map<std::uint64_t, std::uint64_t> stream_pos_;
   bool extent_batching_ = extents_enabled();
   SimCoreKind core_ = sim_core_from_env();
+  bool stopped_ = false;  ///< the last run() hit its stop time
   /// Multi-tenant attribution state (empty tenant_of_thread_ = off).
   std::vector<std::uint32_t> tenant_of_thread_;
   std::uint32_t tenant_count_ = 0;

@@ -880,6 +880,67 @@ std::optional<std::string> check_qos_neutrality(const FuzzCase& fc) {
   return std::nullopt;
 }
 
+std::optional<std::string> check_sim_stop_time(const FuzzCase& fc) {
+  // HierarchySimulator::run's stop-time contract (DESIGN.md §4l), which
+  // the bounded reindexing profiler relies on for exactness: a stop time
+  // above the full run's exec_time changes nothing, bit for bit, and one
+  // at or below it comes back with an exec_time no smaller than itself.
+  static constexpr storage::SimCoreKind kCores[] = {
+      storage::SimCoreKind::kClock, storage::SimCoreKind::kEvent};
+  static constexpr double kScales[] = {0.5, 0.999, 1.0, 1.001};
+  const core::ExperimentConfig config =
+      config_for(fc, core::Scheme::kDefault);
+  const storage::StorageTopology topology(config.topology);
+  const core::CompiledExperiment compiled =
+      core::compile_experiment(fc.program, config);
+
+  // "Extents off" means a per-block trace and the clock core's per-block
+  // reference path; "on" means extent events, which the clock core
+  // batches and the event core may fold in closed form.
+  for (bool extents : {true, false}) {
+    trace::TraceOptions options;
+    options.emit_extents = extents;
+    const trace::StreamingTraceSource source(
+        fc.program, compiled.schedule, compiled.layouts, topology, options);
+    std::vector<storage::RangeHint> hints;
+    if (fc.system.policy == storage::PolicyKind::kKarma) {
+      const std::uint64_t segment =
+          std::max<std::uint64_t>(1, topology.io_cache_blocks() / 8);
+      hints = trace::profile_range_hints(source, segment);
+    }
+    for (storage::SimCoreKind core : kCores) {
+      storage::HierarchySimulator simulator(
+          topology, fc.system.policy,
+          io_nodes_of_threads(compiled.schedule, topology), hints);
+      simulator.set_core(core);
+      simulator.set_extent_batching(extents);
+      const storage::SimulationResult full = simulator.run(source);
+      const std::string where = std::string(storage::sim_core_name(core)) +
+                                " core, extents " + (extents ? "on" : "off");
+      for (double scale : kScales) {
+        const double limit = full.exec_time * scale;
+        const storage::SimulationResult bounded =
+            simulator.run(source, limit);
+        std::ostringstream os;
+        os << where << ", stop at " << scale << " x exec_time (" << limit
+           << ")";
+        if (full.exec_time < limit) {
+          if (simulator.stopped() || to_wire(bounded) != to_wire(full)) {
+            return os.str() + ": a stop time above exec_time changed the "
+                   "run:\n  bounded: " + bounded.summary() +
+                   "\n  full:    " + full.summary();
+          }
+        } else if (!(bounded.exec_time >= limit)) {
+          os << ": stopped run reports exec_time " << bounded.exec_time
+             << " below its stop time (full run " << full.exec_time << ")";
+          return os.str();
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_engine_workers(const FuzzCase& fc) {
   std::vector<core::ExperimentJob> jobs;
   jobs.push_back({"default", &fc.program,
@@ -1053,6 +1114,11 @@ const std::vector<Oracle>& all_oracles() {
        "scheduler — static, dynamic, and scheduler-only modes — is "
        "bit-identical to the unpartitioned baseline in both cores",
        true, check_qos_neutrality},
+      {"sim-stop-time",
+       "a simulator stop time above exec_time leaves the run bit-identical "
+       "and one at or below it reports at least the stop time, in both "
+       "cores with extents on and off",
+       true, check_sim_stop_time},
       {"layout-bijection",
        "optimized layouts are injective slot maps with per-thread chunk "
        "contiguity",

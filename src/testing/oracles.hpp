@@ -18,6 +18,9 @@
 //   tenant-isolation    N=1 trace::InterleavedTraceSource run == plain run
 //                       bit-for-bit in both cores, with the single tenant
 //                       slice conserving every attributed aggregate
+//   sim-stop-time       a simulator stop time above exec_time is a no-op
+//                       (to_wire-identical); one at or below it reports
+//                       exec_time >= the stop time, in both cores
 //   layout-bijection    optimized layouts are injective element->slot maps
 //                       with per-thread chunk contiguity (Algorithm 1)
 //   solver-agreement    both Step I backends (core/layout_solver.hpp) emit

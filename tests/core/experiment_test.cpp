@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/dimension_reindexing.hpp"
 #include "ir/builder.hpp"
+#include "layout/permutation.hpp"
+#include "storage/simulator.hpp"
+#include "trace/source.hpp"
+#include "workloads/suite.hpp"
 
 namespace flo::core {
 namespace {
@@ -138,6 +143,60 @@ TEST(ExperimentTest, SchemeNames) {
   EXPECT_STREQ(scheme_name(Scheme::kInterNode), "inter-node");
   EXPECT_STREQ(scheme_name(Scheme::kDimensionReindexing),
                "dimension reindexing [27]");
+}
+
+std::vector<std::vector<std::size_t>> permutation_orders(
+    const layout::LayoutMap& layouts) {
+  std::vector<std::vector<std::size_t>> out;
+  for (const auto& l : layouts) {
+    out.push_back(
+        dynamic_cast<const layout::DimensionPermutationLayout&>(*l).order());
+  }
+  return out;
+}
+
+// compile_experiment's reindexing profiler stops each candidate once it
+// can no longer win. The layouts must match the unbounded search, which
+// runs every candidate to completion through the public simulator API.
+TEST(ExperimentTest, BoundedReindexingMatchesUnboundedOnSuiteApps) {
+  for (const storage::SimCoreKind core :
+       {storage::SimCoreKind::kClock, storage::SimCoreKind::kEvent}) {
+    for (const char* app : {"afores", "cc-ver-2"}) {
+      const ir::Program program = workloads::workload_by_name(app).program;
+      ExperimentConfig config;
+      config.scheme = Scheme::kDimensionReindexing;
+      config.sim_core = core;
+      const storage::StorageTopology topology(config.topology);
+      const parallel::ParallelSchedule schedule(program, config.threads,
+                                                config.mapping);
+      std::vector<storage::NodeId> io_nodes(schedule.thread_count());
+      for (parallel::ThreadId t = 0; t < schedule.thread_count(); ++t) {
+        io_nodes[t] = topology.io_node_of(schedule.mapping().node_of(t));
+      }
+      const auto unbounded = [&](const layout::LayoutMap& candidate) {
+        const trace::StreamingTraceSource source(program, schedule,
+                                                 candidate, topology);
+        storage::HierarchySimulator simulator(topology, config.policy,
+                                              io_nodes);
+        simulator.set_core(core);
+        return simulator.run(source).exec_time;
+      };
+      const baselines::ReindexResult reference =
+          baselines::apply_dimension_reindexing(program, unbounded);
+
+      const CompiledExperiment bounded = compile_experiment(program, config);
+      const std::string where =
+          std::string(app) + " on the " + storage::sim_core_name(core) +
+          " core";
+      EXPECT_EQ(permutation_orders(bounded.layouts),
+                permutation_orders(reference.layouts))
+          << where;
+      EXPECT_EQ(bounded.profiler_runs, reference.evaluations) << where;
+      EXPECT_EQ(simulate_experiment(program, bounded, config).exec_time,
+                unbounded(reference.layouts))
+          << where;
+    }
+  }
 }
 
 }  // namespace

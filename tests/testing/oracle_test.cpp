@@ -11,13 +11,13 @@ namespace {
 
 TEST(Oracles, RegistryHoldsTheDocumentedSet) {
   const auto& oracles = all_oracles();
-  ASSERT_EQ(oracles.size(), 13u);
+  ASSERT_EQ(oracles.size(), 14u);
   const char* expected[] = {
       "parse-roundtrip",  "parse-total",        "count-conservation",
       "stream-vs-eager",  "extent-equivalence", "event-vs-clock",
-      "tenant-isolation", "qos-neutrality",     "layout-bijection",
-      "solver-agreement", "engine-workers",     "wire-roundtrip",
-      "conversion-roundtrip"};
+      "tenant-isolation", "qos-neutrality",     "sim-stop-time",
+      "layout-bijection", "solver-agreement",   "engine-workers",
+      "wire-roundtrip",   "conversion-roundtrip"};
   for (std::size_t i = 0; i < oracles.size(); ++i) {
     EXPECT_EQ(oracles[i].name, expected[i]);
     EXPECT_FALSE(oracles[i].description.empty());

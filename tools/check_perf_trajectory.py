@@ -103,14 +103,28 @@ def check_freshness(baseline_path, repo_root):
 
 
 def items_per_second(path):
+    """Throughput per benchmark name.
+
+    A run recorded with --benchmark_repetitions carries one `<name>_median`
+    aggregate row per benchmark (run_name = <name>); that median is used.
+    Otherwise (a single repetition) the plain iteration row is used. The
+    mean/stddev/cv aggregates are never read as throughputs.
+    """
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    iterations = {}
+    medians = {}
     for row in doc.get("benchmarks", []):
         ips = row.get("items_per_second")
-        if ips:
-            out[row["name"]] = float(ips)
-    return out
+        if not ips:
+            continue
+        if row.get("run_type") == "aggregate":
+            if row.get("aggregate_name") == "median":
+                medians[row["run_name"]] = float(ips)
+        else:
+            iterations[row["name"]] = float(ips)
+    iterations.update(medians)
+    return iterations
 
 
 def ratios_of(per):

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "linalg/gcd.hpp"
 
 namespace flo::linalg {
@@ -75,6 +77,21 @@ struct CompletionCase {
   IntVector d;
   std::size_t row;
 };
+
+// Prints a case as "d_m3_2_row0". The test discovery names each case by
+// this text; without it gtest prints the raw bytes of the struct, heap
+// pointers included, and the names change from run to run.
+void PrintTo(const CompletionCase& c, std::ostream* os) {
+  *os << 'd';
+  for (const auto v : c.d) {
+    if (v < 0) {
+      *os << "_m" << -v;
+    } else {
+      *os << '_' << v;
+    }
+  }
+  *os << "_row" << c.row;
+}
 
 class CompletionPropertyTest
     : public ::testing::TestWithParam<CompletionCase> {};

@@ -72,7 +72,7 @@ std::string journal_key(const ExperimentJob& job,
 // --- checkpoint journal ----------------------------------------------------
 // Text file, one completed cell per line after a version-tag header:
 //   flo-journal-v2 <grid-hash>
-//   <key> <profiler_runs> sim-v1 <SimulationResult wire fields>
+//   <key> <profiler_runs> sim-v5 <SimulationResult wire fields>
 // where <key> is the 16-hex-digit journal_key and <grid-hash> fingerprints
 // the sorted key set of the grid that wrote the file. Every update rewrites
 // the whole file through atomic_write_file (tmp + fsync + rename), so a

@@ -12,14 +12,17 @@
 // the transfer occupies the disk, so contending demand reads pay for it as
 // queueing delay.
 //
-// The engine is a friend of HierarchySimulator and mutates the *same*
-// cache/disk/fault state through the same primitives, which is what makes
-// the equivalence envelope (DESIGN.md §4g) hold by construction: with one
-// thread, prefetch off and faults off, no server ever queues, the stage
-// sequence per block collapses to the clock core's mutation order, and all
-// integer per-layer stats are bit-identical (times differ only by how the
-// stage sums associate, bounded by ulps — the event-vs-clock fuzz oracle
-// pins both properties).
+// The engine is a driver over storage::Hierarchy (hierarchy.hpp): every
+// hierarchy decision — routing, fault resolution, fills, victims,
+// readahead, tenants — is the Hierarchy's, made by the same code the clock
+// core calls. The engine adds only the event staging, the service queues
+// and its own time sums. That is what makes the equivalence envelope
+// (DESIGN.md §4g) hold by construction: with one thread, prefetch off and
+// faults off, no server ever queues, the stage sequence per block
+// collapses to the clock core's call order, and all integer per-layer
+// stats are bit-identical (times differ only by how the stage sums
+// associate, bounded by ulps — the event-vs-clock fuzz oracle pins both
+// properties).
 #pragma once
 
 #include <cstdint>
@@ -28,10 +31,7 @@
 
 #include "storage/disk_sched.hpp"
 #include "storage/event_queue.hpp"
-#include "storage/lru_cache.hpp"
-#include "storage/stats.hpp"
-#include "storage/topology.hpp"
-#include "storage/trace_source.hpp"
+#include "storage/hierarchy.hpp"
 
 namespace flo::obs {
 class Gauge;
@@ -39,30 +39,18 @@ class Gauge;
 
 namespace flo::storage {
 
-class HierarchySimulator;
-
 class EventEngine {
  public:
-  /// Borrows the simulator's caches, disks, striping and fault plan; the
-  /// simulator must outlive the engine. prepare_run() must already have
-  /// reset the shared state (HierarchySimulator::run does both).
-  explicit EventEngine(HierarchySimulator& sim);
+  /// Drives `hierarchy`, which must outlive the engine.
+  explicit EventEngine(Hierarchy& hierarchy);
 
-  /// Runs the source to completion, or until a thread completes at or
-  /// past `stop_at` (HierarchySimulator::run documents the contract).
+  /// Runs the source from cold caches to completion, or until a thread
+  /// completes at or past `stop_at` (HierarchySimulator::run documents
+  /// the contract).
   SimulationResult run(const TraceSource& source, double stop_at);
+  bool stopped() const { return state_.stopped; }
 
  private:
-  /// Which path a request takes through the hierarchy, fixed at issue time
-  /// (mirrors the branch structure of HierarchySimulator::service).
-  enum class Route : std::uint8_t {
-    kIo,            ///< LRU/DEMOTE flow through the I/O cache
-    kDirect,        ///< I/O cache disabled or offline: storage level only
-    kKarmaIo,       ///< KARMA range pinned at the I/O level
-    kKarmaStorage,  ///< KARMA range pinned at the storage level
-    kKarmaDirect,   ///< KARMA uncached range (or pinned cache offline)
-  };
-
   /// One in-flight block request. Threads are synchronous (one outstanding
   /// request each), so the pool is indexed by thread id.
   struct Request {
@@ -98,6 +86,8 @@ class EventEngine {
   /// instead of O(blocks), with identical integer stats.
   void run_phase_analytic(std::uint32_t thread);
   bool analytic_eligible() const;
+  /// Drains the event queue for one phase repetition.
+  void run_phase(const std::vector<std::uint32_t>& active);
 
   void issue_block(std::uint32_t thread, double now);
   void arrive_io(std::uint32_t thread, double now);
@@ -109,22 +99,19 @@ class EventEngine {
   void enqueue_disk(std::uint32_t thread, double now);
   void dispatch_disk(std::uint32_t thread, double now);
   void disk_done(std::uint32_t thread, double now);
-  /// I/O-cache fill + victim handling (write-back, DEMOTE) for a request
-  /// that missed at the I/O level, then thread completion.
-  void fill_io_and_complete(std::uint32_t thread, double now);
+  /// A request leaves the storage level: a kIo request fills its I/O
+  /// cache (Hierarchy::fill_io) first, then the thread completes.
+  void depart_below_io(std::uint32_t thread, double now);
   void complete(std::uint32_t thread, double now);
 
   void note_wait(QueueLayerStats& layer, std::size_t depth_after_push);
   void charge_wait(QueueLayerStats& layer, double waited);
 
-  HierarchySimulator& sim_;
-  SimulationResult result_;
+  Hierarchy& h_;
+  RunState state_;            ///< clocks are per-thread completion times
   EventQueue queue_;
-  std::vector<CursorPump> pumps_;
-  std::vector<Request> req_;     ///< indexed by thread
-  std::vector<double> clock_;    ///< per-thread completion clocks
-  std::vector<double> busy_;     ///< per-thread busy time
-  double stop_at_ = 0;           ///< run()'s stop time
+  std::vector<Request> req_;  ///< indexed by thread
+  double stop_at_ = 0;        ///< run()'s stop time
 
   std::vector<std::deque<std::uint32_t>> io_wait_;
   std::vector<char> io_busy_;

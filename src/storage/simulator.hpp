@@ -12,35 +12,19 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "storage/disk_model.hpp"
-#include "storage/fault_model.hpp"
-#include "storage/karma.hpp"
-#include "storage/lru_cache.hpp"
-#include "storage/mq_cache.hpp"
-#include "storage/network_model.hpp"
-#include "storage/policy.hpp"
-#include "storage/sim_core.hpp"
-#include "storage/stats.hpp"
-#include "storage/striping.hpp"
-#include "storage/topology.hpp"
-#include "storage/trace_source.hpp"
+#include "storage/hierarchy.hpp"
 
 namespace flo::storage {
 
-/// Facade over the two simulation cores. The clock core (this class's own
-/// scheduling loop) is the golden reference: min-clock-first stepping with
-/// the extent fast paths, bit-stable since PR 1. The event core
-/// (storage/event_core.hpp) stages requests through a global discrete-event
-/// queue and adds queueing at shared components. Both cores mutate the same
-/// cache/disk/fault state through the same primitives; FLO_SIM (or
-/// set_core) selects which one run() drives.
+/// Facade over the two simulation cores, which drive one storage::Hierarchy
+/// (storage/hierarchy.hpp) that owns every cache, disk, fault and tenant
+/// and makes every hierarchy decision. The clock core (simulator.cpp) is
+/// the golden reference: min-clock-first stepping with the extent fast
+/// paths. The event core (storage/event_core.hpp) stages requests through
+/// a global discrete-event queue and adds queueing at shared components.
+/// FLO_SIM (or set_core) selects which one run() drives.
 class HierarchySimulator {
  public:
   /// `io_node_of_thread[t]` is the I/O node serving thread t (derived from
@@ -103,188 +87,10 @@ class HierarchySimulator {
                    std::uint32_t tenant_count);
 
  private:
-  friend class EventEngine;  ///< the event core drives the same state
-
-  /// Resets all mutable per-run state (caches, disks, striping, fault
-  /// stream, write-back bookkeeping) so either core starts cold.
-  void prepare_run(const TraceSource& source);
-
-  /// The clock core: min-clock-first scheduling with inline continuation
-  /// and the extent fast paths.
-  SimulationResult run_clock(const TraceSource& source, double stop_at);
-  /// Min-clock-first scheduler order: (virtual clock, thread id).
-  using ScheduleEntry = std::pair<double, std::uint32_t>;
-  using ScheduleQueue =
-      std::priority_queue<ScheduleEntry, std::vector<ScheduleEntry>,
-                          std::greater<ScheduleEntry>>;
-
-  /// Services one single-block request (`event.run_blocks` is ignored;
-  /// run() splits extents before calling) issued by `thread` at virtual
-  /// time `now` (the fault model needs `now` to resolve outage windows);
-  /// returns elapsed seconds. This is the golden per-block reference path.
-  double service(std::uint32_t thread, double now, const AccessEvent& event,
-                 SimulationResult& result);
-
-  /// Extent fast path: services as many leading blocks of `ev` as stay
-  /// within (a) a bulk-eligible flow — a resident I/O-cache run, or a
-  /// cache-less disk stream — and (b) the scheduler budget (the thread
-  /// must remain the strict (clock, id) minimum against `queue`).
-  /// Advances `now`, `busy` and `ev` in place and returns the number of
-  /// blocks consumed; 0 means the head block must take the per-block
-  /// reference path. Charged times and recorded stats are bit-identical
-  /// to servicing each block through service().
-  std::uint32_t service_extent_bulk(std::uint32_t thread, AccessEvent& ev,
-                                    double& now, double& busy,
-                                    const ScheduleQueue& queue,
-                                    SimulationResult& result);
-
-  double storage_level(BlockKey key, double now, SimulationResult& result);
-
-  /// One fault-aware disk read: transient failures retried with backoff
-  /// (charged to the caller's clock) and slow-disk latency spikes, per the
-  /// topology's FaultConfig. Reduces to DiskArray::service when faults
-  /// are off.
-  double disk_read(NodeId node, std::uint64_t lba, SimulationResult& result);
-
-  /// Disk-read epilogue: sequential-stream detection and readahead into
-  /// the owning storage cache (TopologyConfig::prefetch_depth). Staging is
-  /// suppressed (stream bookkeeping kept) while the cache is offline.
-  void after_disk_read(BlockKey key, NodeId node, std::uint64_t lba,
-                       SimulationResult& result, bool staging_allowed);
-
-  /// Storage-hit epilogue: keeps the readahead window moving through
-  /// staged blocks.
-  void after_storage_hit(BlockKey key, NodeId node, SimulationResult& result);
-
-  StorageTopology topology_;
-  PolicyKind policy_;
-  std::vector<NodeId> io_node_of_thread_;
-  KarmaAllocator karma_;
-  NetworkModel network_;
-  /// Seeded fault decision stream (topology_.config().fault); rewound at
-  /// the start of every run() so repeated runs replay identical faults.
-  FaultPlan faults_;
-
-  /// Storage-cache operations dispatch on the policy: LRU containers for
-  /// every policy except kMqInclusive, which manages the storage level
-  /// with the Multi-Queue algorithm. Inserts book fills/evictions into the
-  /// per-layer stats of `result`.
-  bool storage_touch(NodeId node, BlockKey key);
-  void storage_insert(NodeId node, BlockKey key, SimulationResult& result);
-  bool storage_erase(NodeId node, BlockKey key);
-  bool storage_contains(NodeId node, BlockKey key) const;
-
-  /// I/O-cache insert with fill/eviction accounting; the displaced block
-  /// (if any) is reported through `victim_out` for write-back/demotion.
-  void io_insert(NodeId io, BlockKey key, SimulationResult& result,
-                 std::optional<BlockKey>* victim_out = nullptr);
-
-  /// Write-back bookkeeping (TopologyConfig::model_writes).
-  void mark_io_dirty(NodeId io, BlockKey key);
-  double on_io_eviction(NodeId io, BlockKey victim, SimulationResult& result);
-
-  /// End-of-run drain of the deferred write-back ledger: charges any
-  /// still-pending storage-eviction write-backs to total time and counts
-  /// them in disk_writes. Without this a trace ending in a write silently
-  /// dropped its trailing write-back (the "next request" it was deferred
-  /// to never arrived). Runs after the final barrier, so per-thread busy
-  /// times are not touched — the drain is background device work.
-  void settle_trailing_writebacks(SimulationResult& result);
-
-  /// --- tenant QoS (TopologyConfig::qos, DESIGN.md §4k) ------------------
-  /// Cache partitioning is active only when qos.enabled, qos.shares is
-  /// non-empty, tenancy is on, and the policy is not KARMA (whose range
-  /// classes are already a capacity-partitioning scheme). Both cores
-  /// inherit it through the shared primitives below.
-  bool qos_partitioning() const { return qos_partitioning_; }
-  /// The tenant charged for the block being serviced right now — the open
-  /// attribution scope's tenant (both cores call tenant_switch before
-  /// servicing, so the scope is always current here).
-  std::uint32_t qos_owner() const {
-    return qos_partitioning_ ? tenant_scope_.tenant : 0;
-  }
-  /// Disk-scheduling priority of a thread's tenant (>= 1; 1 when QoS or
-  /// tenancy is off, or no priority vector was given).
-  std::uint32_t qos_priority_of_thread(std::uint32_t thread) const;
-  /// Applies (or removes) per-tenant partitions on every cache; called
-  /// from prepare_run after the caches are cleared.
-  void apply_qos_partitions();
-  /// Dynamic-share epoch boundary check: every qos.epoch_accesses block
-  /// requests, reassigns each cache's slack above the guaranteed floors in
-  /// proportion to the misses each tenant suffered during the epoch.
-  void maybe_rebalance_qos(SimulationResult& result);
-  /// Per-tenant occupancy/eviction bookkeeping shared by both cores.
-  void qos_note_io_insert(NodeId io, bool was_resident, bool evicted,
-                          SimulationResult& result);
-  void qos_note_storage_insert(bool was_resident, bool evicted,
-                               SimulationResult& result);
-
-  /// --- per-tenant attribution ledger (set_tenants) ----------------------
-  /// Counter deltas are attributed scope-to-scope: tenant_switch(t) settles
-  /// everything incremented since the previous switch into the previous
-  /// scope's tenant and snapshots the attributed aggregates. Both cores
-  /// call it whenever the serviced thread changes; cost is one integer
-  /// compare per call when tenancy is off.
-  bool tenants_enabled() const { return !tenant_of_thread_.empty(); }
-  void tenant_switch(std::uint32_t thread, SimulationResult& result);
-  /// Settles the open scope's counter deltas into its tenant's slice.
-  void tenant_settle(SimulationResult& result);
-  /// Opens a fresh attribution scope for `tenant` (snapshotting the
-  /// aggregates); factored out of tenant_switch so the QoS rebalancer can
-  /// settle-and-reopen at an epoch boundary without losing attribution.
-  void tenant_open(std::uint32_t tenant, SimulationResult& result);
-  /// Settles the open scope (if any) and fills per-tenant busy_time from
-  /// result.thread_time; called once per run after the final barrier.
-  void tenant_finish(SimulationResult& result);
-
-  struct TenantScope {
-    bool open = false;
-    std::uint32_t tenant = 0;
-    std::uint64_t accesses = 0;
-    std::uint64_t elements = 0;
-    std::uint64_t io_lookups = 0;
-    std::uint64_t io_hits = 0;
-    std::uint64_t storage_lookups = 0;
-    std::uint64_t storage_hits = 0;
-    std::uint64_t disk_reads = 0;
-    std::uint64_t bytes_filled = 0;
-  };
-
-  std::vector<LruCache> io_caches_;       ///< one per I/O node
-  std::vector<LruCache> storage_caches_;  ///< one per storage node
-  std::vector<MqCache> storage_mq_;       ///< used by kMqInclusive
-  Striping striping_;
-  DiskArray disks_;
-  std::vector<std::uint64_t> last_lba_;  ///< per storage node, for readahead
-  /// Dirty-block sets per layer (packed keys), used when model_writes.
-  std::vector<std::unordered_set<std::uint64_t>> io_dirty_;
-  std::vector<std::unordered_set<std::uint64_t>> storage_dirty_;
-  double pending_writeback_cost_ = 0;       ///< charged to the next request
-  std::uint64_t pending_writeback_count_ = 0;
-  /// Per-(node, file) last block index — the readahead stream detector
-  /// (real readahead tracks file streams, which survive interleaving).
-  std::unordered_map<std::uint64_t, std::uint64_t> stream_pos_;
+  Hierarchy hierarchy_;
   bool extent_batching_ = extents_enabled();
   SimCoreKind core_ = sim_core_from_env();
   bool stopped_ = false;  ///< the last run() hit its stop time
-  /// Multi-tenant attribution state (empty tenant_of_thread_ = off).
-  std::vector<std::uint32_t> tenant_of_thread_;
-  std::uint32_t tenant_count_ = 0;
-  TenantScope tenant_scope_;
-
-  /// --- tenant QoS runtime state (prepare_run resets all of it) ----------
-  bool qos_partitioning_ = false;
-  /// Static quotas per cache capacity class (io / storage), recomputed
-  /// each run; the dynamic rebalancer's floors derive from these.
-  std::vector<std::size_t> qos_io_quota_;
-  std::vector<std::size_t> qos_storage_quota_;
-  std::uint64_t qos_epoch_next_ = 0;  ///< next rebalance boundary (accesses)
-  /// Miss totals per tenant at the previous epoch boundary, for deltas.
-  std::vector<std::uint64_t> qos_prev_misses_;
-  /// Per-tenant resident-block totals across all caches, and their peaks
-  /// (reported as TenantStats::occupancy_peak).
-  std::vector<std::uint64_t> qos_occ_;
-  std::vector<std::uint64_t> qos_occ_peak_;
 };
 
 }  // namespace flo::storage

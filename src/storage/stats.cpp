@@ -128,21 +128,11 @@ namespace {
 // vector field is length-prefixed. A version tag leads the line so future
 // field additions can invalidate old journals instead of misparsing them.
 
-// v2 appended the event-core queue stats; v1 lines (pre-event journals)
-// still parse, with queue stats zero — exactly what the clock core that
-// wrote them produced. v3 appended the two I/O lower-bound fields; v1/v2
-// lines parse with bounds zero ("no claim"), matching what the runners
-// that wrote them computed. v4 appended the length-prefixed per-tenant
-// attribution slices; v1–v3 lines parse with tenants empty — exactly what
-// the single-tenant runners that wrote them produced. v5 appended three
-// QoS fields to each tenant record (io/storage evictions, occupancy
-// peak); v4 lines parse with those zero — exactly what the pre-QoS
-// runners that wrote them produced.
-constexpr const char* kWireTagV1 = "sim-v1";
-constexpr const char* kWireTagV2 = "sim-v2";
-constexpr const char* kWireTagV3 = "sim-v3";
-constexpr const char* kWireTagV4 = "sim-v4";
-constexpr const char* kWireTagV5 = "sim-v5";
+// Only the current tag parses. A line with an older tag (sim-v1…sim-v4,
+// written before queue stats, I/O bounds, tenant slices or QoS fields
+// joined the line) is rejected like any malformed line, and a resumable
+// journal recomputes that cell.
+constexpr const char* kWireTag = "sim-v5";
 
 void put_double(std::ostringstream& os, double value) {
   char buffer[48];
@@ -224,7 +214,7 @@ struct Reader {
     out.wait_time = f64();
     out.max_depth = u64();
   }
-  void tenant(TenantStats& out, bool qos_fields) {
+  void tenant(TenantStats& out) {
     out.accesses = u64();
     out.elements = u64();
     out.io_lookups = u64();
@@ -234,11 +224,9 @@ struct Reader {
     out.disk_reads = u64();
     out.bytes_filled = u64();
     out.busy_time = f64();
-    if (qos_fields) {
-      out.io_evictions = u64();
-      out.storage_evictions = u64();
-      out.occupancy_peak = u64();
-    }
+    out.io_evictions = u64();
+    out.storage_evictions = u64();
+    out.occupancy_peak = u64();
   }
 };
 
@@ -246,7 +234,7 @@ struct Reader {
 
 std::string to_wire(const SimulationResult& result) {
   std::ostringstream os;
-  os << kWireTagV5;
+  os << kWireTag;
   put_layer(os, result.io);
   put_layer(os, result.storage);
   put_double(os, result.exec_time);
@@ -270,12 +258,7 @@ std::string to_wire(const SimulationResult& result) {
 
 std::optional<SimulationResult> from_wire(const std::string& line) {
   Reader reader(line);
-  const std::string tag = reader.token();
-  const bool v5 = tag == kWireTagV5;
-  const bool v4 = v5 || tag == kWireTagV4;
-  const bool v3 = v4 || tag == kWireTagV3;
-  const bool v2 = v3 || tag == kWireTagV2;
-  if (!v2 && tag != kWireTagV1) return std::nullopt;
+  if (reader.token() != kWireTag) return std::nullopt;
   SimulationResult result;
   reader.layer(result.io);
   reader.layer(result.storage);
@@ -295,21 +278,15 @@ std::optional<SimulationResult> from_wire(const std::string& line) {
   reader.fault_layer(result.faults.storage);
   reader.fault_layer(result.faults.disk);
   result.faults.exhausted_retries = reader.u64();
-  if (v2) {
-    reader.queue_layer(result.queue.io);
-    reader.queue_layer(result.queue.storage);
-    reader.queue_layer(result.queue.disk);
-  }
-  if (v3) {
-    result.io_bound_bytes = reader.u64();
-    result.storage_bound_bytes = reader.u64();
-  }
-  if (v4) {
-    const std::uint64_t tenant_count = reader.u64();
-    if (!reader.ok || tenant_count > (1u << 16)) return std::nullopt;
-    result.tenants.resize(static_cast<std::size_t>(tenant_count));
-    for (auto& tenant : result.tenants) reader.tenant(tenant, v5);
-  }
+  reader.queue_layer(result.queue.io);
+  reader.queue_layer(result.queue.storage);
+  reader.queue_layer(result.queue.disk);
+  result.io_bound_bytes = reader.u64();
+  result.storage_bound_bytes = reader.u64();
+  const std::uint64_t tenant_count = reader.u64();
+  if (!reader.ok || tenant_count > (1u << 16)) return std::nullopt;
+  result.tenants.resize(static_cast<std::size_t>(tenant_count));
+  for (auto& tenant : result.tenants) reader.tenant(tenant);
   std::string trailing;
   if (reader.is >> trailing) return std::nullopt;  // extra fields: reject
   if (!reader.ok) return std::nullopt;

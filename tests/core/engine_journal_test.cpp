@@ -92,6 +92,19 @@ TEST(EngineJournalRobustnessTest, TruncatedFinalLineRecomputesOnlyThatCell) {
   EXPECT_DOUBLE_EQ(results[0].result.sim.exec_time, 16.0);
   EXPECT_DOUBLE_EQ(results[1].result.sim.exec_time, 32.0);
   EXPECT_DOUBLE_EQ(results[2].result.sim.exec_time, 48.0);
+
+  // A cell line written by an older wire version (sim-v4) no longer
+  // parses: that cell recomputes like a damaged one.
+  contents = read_file(journal);
+  const std::size_t tag = contents.find(" sim-v5 ");
+  ASSERT_NE(tag, std::string::npos);
+  contents.replace(tag, 8, " sim-v4 ");
+  write_file(journal, contents);
+  EXPECT_EQ(run_grid(program, journal, &results), 1)
+      << "the sim-v4 cell recomputes; the current-version cells restore";
+  EXPECT_DOUBLE_EQ(results[0].result.sim.exec_time, 16.0);
+  EXPECT_DOUBLE_EQ(results[1].result.sim.exec_time, 32.0);
+  EXPECT_DOUBLE_EQ(results[2].result.sim.exec_time, 48.0);
   std::remove(journal.c_str());
 }
 

@@ -1,7 +1,7 @@
 // Wire-format coverage for the sim-v5 revision (DESIGN.md §4k): the
 // per-tenant QoS fields ride at the end of each tenant record, doubles
-// stay C99 hexfloats (bit-exact round trips), sim-v4 lines still parse
-// with the QoS fields zero, and trailing fields are rejected.
+// stay C99 hexfloats (bit-exact round trips), lines with an older tag are
+// rejected, and trailing fields are rejected.
 #include "storage/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -61,33 +61,38 @@ TEST(StatsWireTest, V5RoundTripIsBitExact) {
   EXPECT_DOUBLE_EQ(back->tenants[0].busy_time, 2.0 / 7.0);
 }
 
-TEST(StatsWireTest, V4LinesStillParseWithZeroQosFields) {
-  SimulationResult result = sample_result();
-  result.tenants.resize(1);  // one tenant: its record is the line's tail
-  std::string v4 = to_wire(result);
-  v4.replace(0, 6, "sim-v4");
-  v4 = drop_tokens(v4, 3);  // strip io_evictions storage_evictions occ_peak
-  const auto back = from_wire(v4);
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->tenants.size(), 1u);
-  EXPECT_EQ(back->tenants[0].io_evictions, 0u);
-  EXPECT_EQ(back->tenants[0].storage_evictions, 0u);
-  EXPECT_EQ(back->tenants[0].occupancy_peak, 0u);
-  // Everything else survives: zero the QoS fields and require equality.
-  result.tenants[0].io_evictions = 0;
-  result.tenants[0].storage_evictions = 0;
-  result.tenants[0].occupancy_peak = 0;
-  EXPECT_EQ(*back, result);
+TEST(StatsWireTest, OlderVersionTagsAreRejected) {
+  // Only sim-v5 parses; a journal recomputes a cell whose line is older.
+  // Each old tag is rejected both on a current body and on the body that
+  // version actually wrote (per tenant record: no QoS fields in v4; no
+  // tenant slices before v4, no bounds before v3, no queue stats in v1).
+  const std::string v5 = to_wire(sample_result());
+  SimulationResult one_tenant = sample_result();
+  one_tenant.tenants.resize(1);
+  const std::string v5_one = to_wire(one_tenant);
+  SimulationResult no_tenants = sample_result();
+  no_tenants.tenants.clear();
+  const std::string v5_none = to_wire(no_tenants);
+  const auto retag = [](std::string line, const char* tag) {
+    return line.replace(0, 6, tag);
+  };
+  const std::string written[] = {
+      retag(drop_tokens(v5_none, 12), "sim-v1"),
+      retag(drop_tokens(v5_none, 3), "sim-v2"),
+      retag(drop_tokens(v5_none, 1), "sim-v3"),
+      retag(drop_tokens(v5_one, 3), "sim-v4"),
+  };
+  for (const std::string& line : written) {
+    EXPECT_FALSE(from_wire(line).has_value()) << line;
+    EXPECT_FALSE(from_wire(retag(v5, line.substr(0, 6).c_str())).has_value())
+        << line.substr(0, 6);
+  }
+  EXPECT_TRUE(from_wire(v5).has_value());
 }
 
 TEST(StatsWireTest, TrailingFieldsAreRejected) {
   const std::string wire = to_wire(sample_result());
   EXPECT_FALSE(from_wire(wire + " 7").has_value());
-  // A v4-tagged line that still carries the v5 per-tenant fields has
-  // three extra tokens per tenant — trailing garbage, rejected.
-  std::string v4 = wire;
-  v4.replace(0, 6, "sim-v4");
-  EXPECT_FALSE(from_wire(v4).has_value());
 }
 
 TEST(StatsWireTest, TruncatedLinesAreRejectedNotCrashed) {

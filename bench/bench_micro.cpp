@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): throughput of the pieces that
-// dominate compile time and simulation time — Step I partitioning, chunk
-// addressing, LRU operations, trace generation, and hierarchy simulation.
+// dominate compile time and simulation time — Step I partitioning, Step II
+// layout construction and chunk addressing, LRU operations, trace
+// generation, and hierarchy simulation.
 #include <benchmark/benchmark.h>
 
 #include "core/optimizer.hpp"
@@ -73,6 +74,37 @@ void BM_InterNodeLayoutSlot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterNodeLayoutSlot);
+
+// Step II alone (Algorithm 1 packing into the slot table) for the largest
+// array of sp that Step I partitions, at the paper-default topology.
+void BM_BuildInterNodeLayout(benchmark::State& state) {
+  const auto app = workloads::workload_by_name("sp");
+  const parallel::ParallelSchedule schedule(app.program, 64);
+  const storage::StorageTopology topo(storage::TopologyConfig::paper_default());
+  ir::ArrayId largest = 0;
+  layout::ArrayPartitioning partitioning;
+  for (ir::ArrayId a = 0; a < app.program.arrays().size(); ++a) {
+    auto part = layout::partition_array(app.program, a, schedule);
+    if (part.partitioned &&
+        (!partitioning.partitioned ||
+         app.program.array(a).space().element_count() >
+             app.program.array(largest).space().element_count())) {
+      largest = a;
+      partitioning = std::move(part);
+    }
+  }
+  if (!partitioning.partitioned) {
+    state.SkipWithError("sp has no partitioned array");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layout::build_internode_layout(
+        app.program, largest, partitioning, schedule, topo));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          app.program.array(largest).space().element_count());
+}
+BENCHMARK(BM_BuildInterNodeLayout)->Unit(benchmark::kMillisecond);
 
 void BM_LruCacheAccess(benchmark::State& state) {
   storage::LruCache cache(static_cast<std::size_t>(state.range(0)));

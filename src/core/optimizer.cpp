@@ -87,7 +87,14 @@ OptimizationResult FileLayoutOptimizer::optimize(
       if (plan.partitioning.partitioned) {
         reg.counter("compile.arrays_partitioned").add(1);
       }
-      if (plan.optimized) reg.counter("compile.arrays_materialized").add(1);
+      if (plan.optimized) {
+        reg.counter("compile.arrays_materialized").add(1);
+        const auto& internode =
+            static_cast<const layout::InterNodeLayout&>(*chosen);
+        reg.counter("compile.step2_elements").add(internode.touched_count());
+        reg.counter("compile.layout_table_bytes")
+            .add(internode.table_bytes());
+      }
       if (too_small_to_matter && plan.partitioning.partitioned) {
         reg.counter("compile.arrays_skipped_small").add(1);
       }

@@ -12,6 +12,11 @@
 // of the iteration space does not cover the declared box) are appended
 // past the patterned region in canonical order, so the mapping stays total
 // and injective.
+//
+// Construction walks every reference's iteration box incrementally (a
+// running row-major index and hyperplane value, one add per odometer step)
+// and records slots in one 4-byte table over the declared box; ownership
+// is derived from the hyperplane, never stored.
 #pragma once
 
 #include "ir/program.hpp"
@@ -29,6 +34,9 @@ class InterNodeLayout final : public FileLayout {
   /// `partitioning` must have partitioned == true. The chunk pattern is
   /// derived from `layers`/`leaf_cache_of_thread` with the chunk capped at
   /// the largest per-thread touched share (rounded up to `block_elems`).
+  /// Throws std::invalid_argument when a reference leaves the array's data
+  /// space, and std::length_error when a file slot would not fit the
+  /// 32-bit slot table.
   InterNodeLayout(const ir::Program& program, ir::ArrayId array,
                   const ArrayPartitioning& partitioning,
                   const parallel::ParallelSchedule& schedule,
@@ -46,26 +54,32 @@ class InterNodeLayout final : public FileLayout {
   /// Number of elements the program touches in this array.
   std::size_t touched_count() const { return touched_; }
 
+  /// Resident bytes of the slot table (4 per declared element).
+  std::size_t table_bytes() const {
+    return slot_of_.size() * sizeof(slot_of_[0]);
+  }
+
   const ChunkPattern& pattern() const { return pattern_; }
   const ArrayPartitioning& partitioning() const { return partitioning_; }
 
  private:
-  std::int64_t owner_of_s(std::int64_t s,
-                          const parallel::BlockDecomposition& decomp) const;
+  /// Thread owning hyperplane value s: the block decomposition's owner of
+  /// the parallel-loop coordinate floor((s - beta) / alpha).
+  parallel::ThreadId owner_of_s(std::int64_t s) const;
 
   poly::DataSpace space_;
   ArrayPartitioning partitioning_;
+  parallel::BlockDecomposition decomp_;  ///< of the primary nest
   ChunkPattern pattern_;
 
-  /// touched row-major index -> file slot (Algorithm 1 packing), dense
-  /// over the declared box; -1 marks untouched elements. The trace walk
-  /// calls slot() once per element access, so the lookup must be a plain
-  /// load, not a hash probe.
-  std::vector<std::int64_t> slot_of_;
-  std::vector<parallel::ThreadId> owner_of_;
+  /// Row-major index -> file slot (Algorithm 1 packing), dense over the
+  /// declared box; UINT32_MAX marks elements the program never accesses.
+  /// The trace walk calls slot() once per element access, so the lookup
+  /// must be a plain load, not a hash probe. Every slot is checked to fit
+  /// below the sentinels when the table is filled.
+  std::vector<std::uint32_t> slot_of_;
   std::size_t touched_ = 0;
   std::int64_t patterned_slots_ = 0;  ///< end of the chunked region
-  std::int64_t file_slots_ = 0;
 };
 
 /// Convenience: runs Step I and Step II for one array; returns nullptr when

@@ -4,6 +4,7 @@
 
 #include "ir/builder.hpp"
 #include "layout/internode.hpp"
+#include "obs/metrics.hpp"
 
 namespace flo::core {
 namespace {
@@ -102,6 +103,28 @@ TEST(OptimizerTest, PlanRecordsChunkGeometry) {
       result.layouts[0].get());
   ASSERT_NE(internode, nullptr);
   EXPECT_EQ(plan.chunk_elements, internode->pattern().chunk_elements());
+}
+
+TEST(OptimizerTest, StepTwoCountersReportElementsAndTableBytes) {
+  const FileLayoutOptimizer optimizer(small_topology());
+  const auto p = mixed_program();
+  const parallel::ParallelSchedule schedule(p, 8);
+  auto& reg = obs::registry();
+  reg.reset();
+  ASSERT_FALSE(obs::enabled());
+  optimizer.optimize(p, schedule);
+  EXPECT_EQ(reg.counter("compile.step2_elements").value(), 0u);
+  EXPECT_EQ(reg.counter("compile.layout_table_bytes").value(), 0u);
+
+  obs::set_enabled(true);
+  optimizer.optimize(p, schedule);
+  obs::set_enabled(false);
+  // Only `big` (64 x 64, every element touched) gets an inter-node layout,
+  // with one 4-byte slot per declared element.
+  EXPECT_EQ(reg.counter("compile.step2_elements").value(), 64u * 64u);
+  EXPECT_EQ(reg.counter("compile.layout_table_bytes").value(),
+            64u * 64u * 4u);
+  reg.reset();
 }
 
 }  // namespace

@@ -97,16 +97,6 @@ inline void validate_sim_core_env() {
   }
 }
 
-/// Same up-front validation for FLO_SOLVER (the Step I backend).
-inline void validate_solver_env() {
-  if (const char* env = std::getenv("FLO_SOLVER")) {
-    if (*env != '\0' && !core::parse_solver(env)) {
-      die_env("FLO_SOLVER",
-              "unknown layout solver (want unimodular or constraint)", env);
-    }
-  }
-}
-
 /// Same up-front validation for the tenant QoS knobs: FLO_SCHED must name
 /// a known disk scheduler and FLO_QOS must parse as a storage/qos.hpp
 /// spec. A typo'd spec would otherwise surface as an uncaught
@@ -134,7 +124,6 @@ inline void validate_qos_env() {
 /// journal, per-cell timeout/retry budgets). Malformed knobs exit 2.
 inline core::EngineOptions engine_options_from_env() {
   validate_sim_core_env();
-  validate_solver_env();
   validate_qos_env();
   core::EngineOptions options;
   options.workers = workers_from_env();

@@ -2,12 +2,13 @@
 // (paper tables/figures, ablations, fault sweep, smoke) by glob filter:
 //
 //   flo_bench --list                 # what can run
-//   flo_bench --filter fig7a         # byte-identical to the old bench_fig7a
+//   flo_bench --filter fig7a         # the bench_fig7a block of
+//                                    # results/bench_all.txt, byte for byte
 //   flo_bench --filter 'fig7*'       # all eight figures
 //   flo_bench --filter smoke --metrics=json
 //
-// Running a single scenario prints exactly what its former standalone
-// binary printed; with multiple matches a banner separates the sections.
+// A single scenario prints just its table; with multiple matches a banner
+// separates the sections.
 // Metrics (--metrics / FLO_METRICS) and --out exports always go to side
 // files, never stdout.
 #include <algorithm>
@@ -177,8 +178,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const ScenarioSpec& spec = *selected[i];
     if (selected.size() > 1) {
-      // Single-scenario output stays byte-identical to the old standalone
-      // binary; banners appear only between sections of a multi-run.
+      // Single-scenario output is the bare table (what results/bench_all.txt
+      // records); banners appear only between sections of a multi-run.
       if (i != 0) std::cout << '\n';
       std::cout << "==== " << spec.name << " — " << spec.title << " ====\n\n";
     }

@@ -174,6 +174,7 @@ std::string compile_fingerprint(std::uint64_t program_fp,
       // The profiling pass simulates candidates under the full config,
       // including which simulator core scores them.
       append_value(key, config.policy);
+      // Always kStreaming now; still hashed so cached keys stay stable.
       append_value(key, config.trace);
       append_value(key, config.sim_core);
       append_topology_key(key, config.topology);

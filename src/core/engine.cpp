@@ -57,6 +57,7 @@ std::string journal_key(const ExperimentJob& job,
   append_value(bytes, job.config.scheme);
   append_value(bytes, job.config.unweighted_step1);
   append_value(bytes, job.config.solver);
+  // Always kStreaming now; still hashed so existing journals keep resuming.
   append_value(bytes, job.config.trace);
   // The cores agree on integer stats only inside the equivalence envelope;
   // exec times always differ, so journaled cells are per-core.

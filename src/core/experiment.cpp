@@ -8,7 +8,6 @@
 #include "layout/canonical.hpp"
 #include "obs/span.hpp"
 #include "trace/analysis.hpp"
-#include "trace/generator.hpp"
 #include "trace/source.hpp"
 
 namespace flo::core {
@@ -43,27 +42,18 @@ std::vector<storage::NodeId> io_nodes_of_threads(
   return out;
 }
 
-/// Hands `use` the configured trace source for (schedule, layouts): the
-/// eager path materializes the trace first, the streaming path regenerates
-/// it per pass (CPU for memory). The events, and therefore every result,
-/// are identical either way.
-template <typename Use>
-auto with_trace_source(const ir::Program& program,
-                       const parallel::ParallelSchedule& schedule,
-                       const layout::LayoutMap& layouts,
-                       const storage::StorageTopology& topology,
-                       const ExperimentConfig& config, Use&& use) {
-  if (config.trace == TraceMode::kEager) {
-    const storage::TraceProgram trace =
-        trace::generate_trace(program, schedule, layouts, topology);
-    return use(storage::MaterializedTraceSource(trace));
-  }
+/// The streaming trace source for (schedule, layouts): per-thread cursors
+/// that regenerate the events on every pass (CPU for memory).
+trace::StreamingTraceSource trace_source(
+    const ir::Program& program, const parallel::ParallelSchedule& schedule,
+    const layout::LayoutMap& layouts,
+    const storage::StorageTopology& topology) {
   // Extent emission follows the FLO_EXTENTS knob: the expanded stream is
   // identical, so this only selects the simulator's batched fast path.
   trace::TraceOptions trace_options;
   trace_options.emit_extents = storage::extents_enabled();
-  return use(trace::StreamingTraceSource(program, schedule, layouts,
-                                         topology, trace_options));
+  return trace::StreamingTraceSource(program, schedule, layouts, topology,
+                                     trace_options);
 }
 
 /// A simulator for `source` under the configured policy and core.
@@ -86,29 +76,26 @@ storage::HierarchySimulator make_simulator(
   return simulator;
 }
 
-/// Simulates one (schedule, layouts) pair under the configured policy,
-/// via either the streaming or the eager trace path.
+/// Simulates one (schedule, layouts) pair under the configured policy.
 storage::SimulationResult simulate(const ir::Program& program,
                                    const parallel::ParallelSchedule& schedule,
                                    const layout::LayoutMap& layouts,
                                    const storage::StorageTopology& topology,
                                    const ExperimentConfig& config) {
-  return with_trace_source(
-      program, schedule, layouts, topology, config,
-      [&](const storage::TraceSource& source) {
-        storage::SimulationResult result =
-            make_simulator(source, schedule, topology, config).run(source);
-        // The I/O lower bound (core/io_lower_bound.hpp) depends only on
-        // the trace footprint, the capacities, and the policy — attach it
-        // here so both trace paths (and every caller: benches, the
-        // service, flo_opt) report achieved vs. bound identically.
-        const IoBound bound = compute_io_lower_bound(
-            source, io_nodes_of_threads(schedule, topology), topology,
-            config.policy);
-        result.io_bound_bytes = bound.io_bound_bytes;
-        result.storage_bound_bytes = bound.storage_bound_bytes;
-        return result;
-      });
+  const trace::StreamingTraceSource source =
+      trace_source(program, schedule, layouts, topology);
+  storage::SimulationResult result =
+      make_simulator(source, schedule, topology, config).run(source);
+  // The I/O lower bound (core/io_lower_bound.hpp) depends only on the
+  // trace footprint, the capacities, and the policy — attach it here so
+  // every caller (benches, the service, flo_opt) reports achieved vs.
+  // bound identically.
+  const IoBound bound = compute_io_lower_bound(
+      source, io_nodes_of_threads(schedule, topology), topology,
+      config.policy);
+  result.io_bound_bytes = bound.io_bound_bytes;
+  result.storage_bound_bytes = bound.storage_bound_bytes;
+  return result;
 }
 
 }  // namespace
@@ -173,15 +160,13 @@ CompiledExperiment compile_experiment(const ir::Program& program,
       const auto profiler = [&](const layout::LayoutMap& candidate,
                                 double bound) {
         ++runs;
-        return with_trace_source(
-            program, out.schedule, candidate, topology, config,
-            [&](const storage::TraceSource& source) {
-              storage::HierarchySimulator simulator =
-                  make_simulator(source, out.schedule, topology, config);
-              const double t = simulator.run(source, bound).exec_time;
-              if (simulator.stopped()) ++cutoffs;
-              return t;
-            });
+        const trace::StreamingTraceSource source =
+            trace_source(program, out.schedule, candidate, topology);
+        storage::HierarchySimulator simulator =
+            make_simulator(source, out.schedule, topology, config);
+        const double t = simulator.run(source, bound).exec_time;
+        if (simulator.stopped()) ++cutoffs;
+        return t;
       };
       baselines::ReindexResult reindex =
           baselines::apply_dimension_reindexing(program, profiler);

@@ -37,10 +37,11 @@ enum class Scheme {
 
 const char* scheme_name(Scheme scheme);
 
-/// How the simulator obtains the trace events.
+/// How the simulator obtains the trace events: always lazily, from
+/// per-thread cursors with O(threads) resident state. Kept (with its
+/// config field) only because perfbench/src/layers.cpp reads it.
 enum class TraceMode {
-  kStreaming,  ///< lazy per-thread cursors, O(threads) resident state
-  kEager,      ///< materialize the full TraceProgram first (legacy path)
+  kStreaming,
 };
 
 struct ExperimentConfig {
@@ -52,12 +53,9 @@ struct ExperimentConfig {
   /// Unweighted Step I (ablation); only affects inter-node schemes.
   bool unweighted_step1 = false;
   /// Step I backend (core/layout_solver.hpp); only affects inter-node
-  /// schemes. Defaults to the FLO_SOLVER process default (unimodular
-  /// unless FLO_SOLVER=constraint). Joins the compile fingerprint and the
-  /// engine journal key, so cells never mix backends.
-  SolverKind solver = solver_from_env();
-  /// Trace generation strategy; streaming and eager produce bit-identical
-  /// simulation results (golden-tested), so this is purely a memory knob.
+  /// schemes. Joins the compile fingerprint and the engine journal key,
+  /// so cells never mix backends.
+  SolverKind solver = SolverKind::kUnimodular;
   TraceMode trace = TraceMode::kStreaming;
   /// Simulator core (DESIGN.md §4g). Defaults to the FLO_SIM process
   /// default (clock unless FLO_SIM=event); set explicitly to pin a cell
@@ -91,8 +89,8 @@ struct ExperimentResult {
 CompiledExperiment compile_experiment(const ir::Program& program,
                                       const ExperimentConfig& config);
 
-/// Runs the simulation half against a precompiled cell: trace (streaming
-/// or eager), KARMA hints when the policy needs them, simulation.
+/// Runs the simulation half against a precompiled cell: streaming trace,
+/// KARMA hints when the policy needs them, simulation.
 /// Thread-safe for concurrent calls sharing one `compiled`.
 storage::SimulationResult simulate_experiment(
     const ir::Program& program, const CompiledExperiment& compiled,

@@ -1,8 +1,5 @@
 #include "core/layout_solver.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-
 #include "layout/constraint_network.hpp"
 
 namespace flo::core {
@@ -15,27 +12,6 @@ const char* solver_name(SolverKind kind) {
       return "constraint";
   }
   return "?";
-}
-
-std::optional<SolverKind> parse_solver(const std::string& name) {
-  if (name == "unimodular") return SolverKind::kUnimodular;
-  if (name == "constraint") return SolverKind::kConstraintNetwork;
-  return std::nullopt;
-}
-
-SolverKind solver_from_env() {
-  static const SolverKind kind = [] {
-    const char* env = std::getenv("FLO_SOLVER");
-    if (env == nullptr || *env == '\0') return SolverKind::kUnimodular;
-    const auto parsed = parse_solver(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SOLVER: unknown layout solver '") + env +
-          "' (expected unimodular or constraint)");
-    }
-    return *parsed;
-  }();
-  return kind;
 }
 
 namespace {

@@ -10,13 +10,13 @@
 //     propagation with cost-ranked assignment
 //     (layout/constraint_network.cpp).
 //
-// Backend choice is part of a compilation's identity: it joins the
-// CompileCache fingerprint and the engine journal key, so cached plans
-// and journal replays never mix solvers.
+// Every production path compiles with the unimodular default; callers
+// that compare the two (the solver_ablation scenario, the solver-agreement
+// oracle) pick a backend in code. Backend choice is part of a
+// compilation's identity: it joins the CompileCache fingerprint and the
+// engine journal key, so cached plans and journal replays never mix
+// solvers.
 #pragma once
-
-#include <optional>
-#include <string>
 
 #include "layout/partitioning.hpp"
 
@@ -27,16 +27,8 @@ enum class SolverKind {
   kConstraintNetwork,  ///< finite-domain propagation backend
 };
 
-/// Stable short name: "unimodular" / "constraint". Used on the wire
-/// (service responses), in fingerprints, and by FLO_SOLVER / --solver=.
+/// Stable short name: "unimodular" / "constraint" (table labels, logs).
 const char* solver_name(SolverKind kind);
-
-/// Inverse of solver_name; nullopt for unknown names.
-std::optional<SolverKind> parse_solver(const std::string& name);
-
-/// Reads FLO_SOLVER once (process-wide); empty/unset means kUnimodular.
-/// Throws std::invalid_argument on an unknown value.
-SolverKind solver_from_env();
 
 /// A Step I strategy: produce an ArrayPartitioning for one array. All
 /// backends share finalize_partitioning, so a given (hyperplane, primary)

@@ -21,8 +21,8 @@ namespace flo::core {
 struct OptimizerOptions {
   layout::LayerMask mask = layout::LayerMask::kBoth;  ///< Fig. 7(f) sweeps
   layout::PartitioningOptions partitioning;           ///< Eq. 5 ablation
-  /// Step I backend (core/layout_solver.hpp); defaults to FLO_SOLVER.
-  SolverKind solver = solver_from_env();
+  /// Step I backend (core/layout_solver.hpp).
+  SolverKind solver = SolverKind::kUnimodular;
 };
 
 struct OptimizationResult {

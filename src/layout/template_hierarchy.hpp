@@ -11,8 +11,8 @@
 // capacity. Two topologies with the same shape share one compilation: the
 // template instantiates to a PatternLayer stack using its reference
 // capacities, so the emitted layout is identical for every member of the
-// template family. bench_ablation_template measures the performance loss
-// against exact per-topology compilation.
+// template family. The ablation_template scenario measures the performance
+// loss against exact per-topology compilation.
 #pragma once
 
 #include <string>

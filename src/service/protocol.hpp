@@ -89,7 +89,6 @@ struct Response {
   std::string tenant;
   std::string tier;         ///< "exact"/"template" (ok only)
   std::string cache;        ///< "hit"/"miss" (ok only)
-  std::string solver;       ///< Step I backend that compiled the plan
   std::string sched;        ///< disk scheduler of the daemon's QoS config
                             ///< (FLO_QOS/FLO_SCHED); empty when QoS is off
   bool degraded = false;    ///< served below the requested tier

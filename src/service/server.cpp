@@ -380,11 +380,6 @@ Response Server::compile_response(Job& job) {
   config.topology.storage_cache_bytes =
       scaled_bytes(config.topology.storage_cache_bytes, request.cache_scale);
   config.scheme = scheme_of(request.mask);
-  // Every ok path (cache hit or fresh compile) echoes the Step I backend
-  // so chaos-harness assertions can split degraded answers per solver.
-  // config.solver defaulted from FLO_SOLVER and joins the fingerprint, so
-  // a rendered hit was necessarily compiled by this same backend.
-  r.solver = core::solver_name(config.solver);
   // Daemon-wide tenant QoS (FLO_QOS/FLO_SCHED, validated at startup):
   // joins the topology, hence the compile fingerprint, so QoS'd and plain
   // compiles never alias a cache key. The response echoes the scheduler so

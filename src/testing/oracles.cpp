@@ -576,9 +576,8 @@ std::optional<std::string> check_bijection_with(
 }
 
 std::optional<std::string> check_layout_bijection(const FuzzCase& fc) {
-  // Default options: the Step I backend follows FLO_SOLVER, so running
-  // the fuzzer under FLO_SOLVER=constraint drives the full optimizer
-  // through the constraint-network path (the CI solver-matrix job).
+  // Default options (the unimodular backend); check_solver_agreement
+  // walks the constraint-network layouts the same way.
   return check_bijection_with(fc, core::OptimizerOptions{});
 }
 

@@ -18,6 +18,15 @@
 namespace flo::core {
 namespace {
 
+/// Engine options with `workers` threads and every other field at its
+/// default (brace-initializing only the first member trips
+/// -Wmissing-field-initializers).
+EngineOptions with_workers(std::size_t workers) {
+  EngineOptions options;
+  options.workers = workers;
+  return options;
+}
+
 ir::Program tiny_program(std::int64_t n = 32) {
   return ir::ProgramBuilder("tiny")
       .array("A", {n, n})
@@ -85,7 +94,7 @@ TEST(EngineFaultToleranceTest, StrictRunRethrowsLowestIndexWithType) {
 TEST(EngineFaultToleranceTest, NullProgramStillThrowsInvalidArgument) {
   const auto p = tiny_program();
   ExperimentConfig base;
-  ExperimentEngine engine(EngineOptions{4});
+  ExperimentEngine engine(with_workers(4));
   EXPECT_THROW(engine.run({{"ok", &p, base}, {"bad", nullptr, base}}),
                std::invalid_argument);
 }
@@ -306,8 +315,8 @@ TEST(EngineFaultToleranceTest, InjectedFaultsDeterministicAcrossWorkerCounts) {
                                         {"p/inter", &p, inter},
                                         {"q/default", &q, faulted},
                                         {"q/inter", &q, inter}};
-  const auto serial = ExperimentEngine(EngineOptions{1}).run(jobs);
-  const auto pooled = ExperimentEngine(EngineOptions{4}).run(jobs);
+  const auto serial = ExperimentEngine(with_workers(1)).run(jobs);
+  const auto pooled = ExperimentEngine(with_workers(4)).run(jobs);
   ASSERT_EQ(serial.size(), pooled.size());
   bool any_faults = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {

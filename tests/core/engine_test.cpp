@@ -10,6 +10,17 @@
 namespace flo::core {
 namespace {
 
+/// Engine options with `workers` threads and every other field at its
+/// default (brace-initializing only the first member trips
+/// -Wmissing-field-initializers).
+EngineOptions with_workers(std::size_t workers,
+                           bool share_compilations = true) {
+  EngineOptions options;
+  options.workers = workers;
+  options.share_compilations = share_compilations;
+  return options;
+}
+
 ir::Program tiny_program(std::int64_t n = 32) {
   return ir::ProgramBuilder("tiny")
       .array("A", {n, n})
@@ -25,7 +36,7 @@ TEST(ExperimentEngineTest, ResultsComeBackInJobOrder) {
   ExperimentConfig base;
   ExperimentConfig inter = base;
   inter.scheme = Scheme::kInterNode;
-  ExperimentEngine engine(EngineOptions{4});
+  ExperimentEngine engine(with_workers(4));
   const auto results =
       engine.run({{"base", &p, base}, {"inter", &p, inter},
                   {"base-again", &p, base}});
@@ -38,19 +49,19 @@ TEST(ExperimentEngineTest, ResultsComeBackInJobOrder) {
 }
 
 TEST(ExperimentEngineTest, EmptyJobListIsFine) {
-  ExperimentEngine engine(EngineOptions{4});
+  ExperimentEngine engine(with_workers(4));
   EXPECT_TRUE(engine.run({}).empty());
 }
 
 TEST(ExperimentEngineTest, WorkerCountResolved) {
-  EXPECT_EQ(ExperimentEngine(EngineOptions{3}).workers(), 3u);
-  EXPECT_GE(ExperimentEngine(EngineOptions{0}).workers(), 1u);
+  EXPECT_EQ(ExperimentEngine(with_workers(3)).workers(), 3u);
+  EXPECT_GE(ExperimentEngine(with_workers(0)).workers(), 1u);
 }
 
 TEST(ExperimentEngineTest, NullProgramThrowsWithLowestJobIndexFirst) {
   const auto p = tiny_program();
   ExperimentConfig base;
-  ExperimentEngine engine(EngineOptions{4});
+  ExperimentEngine engine(with_workers(4));
   EXPECT_THROW(
       engine.run({{"ok", &p, base}, {"bad", nullptr, base}}),
       std::invalid_argument);
@@ -65,8 +76,8 @@ TEST(ExperimentEngineTest, SharedCompilationMatchesIndependentCompilation) {
   // compile cache must not change the simulated results.
   const std::vector<ExperimentJob> jobs{{"lru", &p, base},
                                         {"karma", &p, karma}};
-  ExperimentEngine shared(EngineOptions{2, /*share_compilations=*/true});
-  ExperimentEngine isolated(EngineOptions{2, /*share_compilations=*/false});
+  ExperimentEngine shared(with_workers(2, /*share_compilations=*/true));
+  ExperimentEngine isolated(with_workers(2, /*share_compilations=*/false));
   const auto a = shared.run(jobs);
   const auto b = isolated.run(jobs);
   ASSERT_EQ(a.size(), b.size());
@@ -113,8 +124,8 @@ TEST(ExperimentEngineTest, DeterministicAcrossWorkerCounts) {
   grid.schemes = {Scheme::kDefault, Scheme::kInterNode};
   const auto jobs = grid.expand();
 
-  ExperimentEngine serial(EngineOptions{1});
-  ExperimentEngine pooled(EngineOptions{4});
+  ExperimentEngine serial(with_workers(1));
+  ExperimentEngine pooled(with_workers(4));
   const auto a = serial.run(jobs);
   const auto b = pooled.run(jobs);
   ASSERT_EQ(a.size(), jobs.size());

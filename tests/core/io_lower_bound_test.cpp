@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "storage/topology.hpp"
@@ -156,13 +158,22 @@ TEST(IoLowerBoundTest, ShortThreadVectorThrows) {
 // End-to-end invariant over the paper suite: run_experiment threads the
 // bound into SimulationResult, the bound is non-trivial, and the simulator
 // never beats it. This is the same invariant BM_SolverAblation enforces,
-// pinned here at unit-test granularity.
+// pinned here at unit-test granularity for the default layouts and the
+// inter-node layouts of both Step I backends.
 TEST(IoLowerBoundSuiteTest, AchievedNeverBeatsBound) {
+  std::vector<ExperimentConfig> configs(1);  // Scheme::kDefault
+  for (const SolverKind solver :
+       {SolverKind::kUnimodular, SolverKind::kConstraintNetwork}) {
+    ExperimentConfig inter;
+    inter.scheme = Scheme::kInterNode;
+    inter.solver = solver;
+    configs.push_back(inter);
+  }
   for (const auto& app : workloads::workload_suite()) {
     SCOPED_TRACE(app.name);
-    for (const Scheme scheme : {Scheme::kDefault, Scheme::kInterNode}) {
-      ExperimentConfig config;
-      config.scheme = scheme;
+    for (const ExperimentConfig& config : configs) {
+      SCOPED_TRACE(std::string(scheme_name(config.scheme)) + " / " +
+                   solver_name(config.solver));
       const ExperimentResult r = run_experiment(app.program, config);
       EXPECT_GT(r.sim.io_bound_bytes, 0u);
       EXPECT_GT(r.sim.storage_bound_bytes, 0u);

@@ -18,6 +18,15 @@
 namespace flo::core {
 namespace {
 
+/// Engine options with `workers` threads and every other field at its
+/// default (brace-initializing only the first member trips
+/// -Wmissing-field-initializers).
+EngineOptions with_workers(std::size_t workers) {
+  EngineOptions options;
+  options.workers = workers;
+  return options;
+}
+
 ir::Program tiny_program(std::int64_t n = 32) {
   return ir::ProgramBuilder("tiny")
       .array("A", {n, n})
@@ -47,7 +56,7 @@ std::map<std::string, double> run_grid_with_workers(std::size_t workers) {
 
   obs::registry().reset();
   obs::recorder().clear();
-  ExperimentEngine engine(EngineOptions{workers});
+  ExperimentEngine engine(with_workers(workers));
   // Duplicate configs exercise the compile cache; distinct ones exercise
   // the per-cell counters.
   engine.run({{"base", &p, base},
@@ -86,7 +95,7 @@ TEST(ObsDeterminismTest, SimulatorSpansIdenticalAcrossWorkerCounts) {
     inter.scheme = Scheme::kInterNode;
     obs::registry().reset();
     obs::recorder().clear();
-    ExperimentEngine engine(EngineOptions{workers});
+    ExperimentEngine engine(with_workers(workers));
     engine.run({{"base", &p, base}, {"inter", &p, inter}});
     // Virtual-time spans carry deterministic timestamps; the lane id
     // depends on thread scheduling, so compare (start, duration, args)
@@ -118,7 +127,7 @@ TEST(ObsDeterminismTest, DisabledRunTouchesNoMetrics) {
   obs::registry().reset();
   obs::recorder().clear();
   ASSERT_FALSE(obs::enabled());
-  ExperimentEngine engine(EngineOptions{2});
+  ExperimentEngine engine(with_workers(2));
   engine.run({{"base", &p, base}});
   for (const auto& sample : obs::registry().snapshot()) {
     EXPECT_EQ(sample.value, 0.0) << sample.name;

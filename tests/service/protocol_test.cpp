@@ -42,7 +42,6 @@ TEST(ProtocolTest, ResponseRoundTrips) {
   in.tenant = "t1";
   in.tier = "template";
   in.cache = "hit";
-  in.solver = "constraint";
   in.degraded = true;
   in.fingerprint = "00ff00ff00ff00ff";
   in.body_hash = "1122334455667788";
@@ -53,7 +52,6 @@ TEST(ProtocolTest, ResponseRoundTrips) {
   EXPECT_EQ(out.tenant, in.tenant);
   EXPECT_EQ(out.tier, in.tier);
   EXPECT_EQ(out.cache, in.cache);
-  EXPECT_EQ(out.solver, in.solver);
   EXPECT_TRUE(out.degraded);
   EXPECT_EQ(out.fingerprint, in.fingerprint);
   EXPECT_EQ(out.body_hash, in.body_hash);

@@ -56,9 +56,6 @@ TEST(ServerTest, CompilesThenServesFromCache) {
   ASSERT_EQ(first.status, Status::kOk) << first.error;
   EXPECT_EQ(first.tier, "exact");
   EXPECT_EQ(first.cache, "miss");
-  // Without FLO_SOLVER the daemon compiles with the reference backend and
-  // says so in the response metadata.
-  EXPECT_EQ(first.solver, "unimodular");
   EXPECT_FALSE(first.degraded);
   EXPECT_FALSE(first.body.empty());
   EXPECT_FALSE(first.fingerprint.empty());

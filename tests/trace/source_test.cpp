@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "core/io_lower_bound.hpp"
 #include "ir/builder.hpp"
 #include "layout/canonical.hpp"
+#include "storage/simulator.hpp"
 #include "trace/generator.hpp"
 #include "workloads/suite.hpp"
 
@@ -264,24 +266,41 @@ TEST(StreamingSourceTest, ExtentStreamExpandsToCoalescedStream) {
   }
 }
 
-// Acceptance: the simulator's output under the streaming trace source is
-// bit-identical to the eager path on every existing workload, for both the
-// default and the optimized layouts.
+// Acceptance: the experiment runner's streaming simulation is bit-identical
+// to the materialized reference on every existing workload, for both the
+// default and the optimized layouts. The reference is built directly:
+// generate_trace -> HierarchySimulator::run(trace), with the I/O lower
+// bound computed over the same materialized trace.
 TEST(StreamingSourceTest, SimulationBitIdenticalToEagerAcrossSuite) {
   for (const auto& app : workloads::workload_suite()) {
     for (const auto scheme : {core::Scheme::kDefault,
                               core::Scheme::kInterNode}) {
-      core::ExperimentConfig streaming;
-      streaming.scheme = scheme;
-      streaming.trace = core::TraceMode::kStreaming;
-      core::ExperimentConfig eager = streaming;
-      eager.trace = core::TraceMode::kEager;
-      // The compile half is independent of the trace mode; share it so the
-      // test only pays the optimizer once per (app, scheme) cell.
-      const auto compiled = core::compile_experiment(app.program, streaming);
-      const auto s = core::simulate_experiment(app.program, compiled, streaming);
-      const auto e = core::simulate_experiment(app.program, compiled, eager);
-      EXPECT_EQ(s, e) << app.name << " / " << core::scheme_name(scheme);
+      core::ExperimentConfig config;
+      config.scheme = scheme;
+      const auto compiled = core::compile_experiment(app.program, config);
+      const auto streamed =
+          core::simulate_experiment(app.program, compiled, config);
+
+      const storage::StorageTopology topology(config.topology);
+      std::vector<storage::NodeId> io_nodes(compiled.schedule.thread_count());
+      for (parallel::ThreadId t = 0; t < io_nodes.size(); ++t) {
+        io_nodes[t] =
+            topology.io_node_of(compiled.schedule.mapping().node_of(t));
+      }
+      const storage::TraceProgram trace = generate_trace(
+          app.program, compiled.schedule, compiled.layouts, topology);
+      storage::HierarchySimulator simulator(topology, config.policy,
+                                            io_nodes);
+      simulator.set_core(config.sim_core);
+      storage::SimulationResult reference = simulator.run(trace);
+      const core::IoBound bound = core::compute_io_lower_bound(
+          storage::MaterializedTraceSource(trace), io_nodes, topology,
+          config.policy);
+      reference.io_bound_bytes = bound.io_bound_bytes;
+      reference.storage_bound_bytes = bound.storage_bound_bytes;
+
+      EXPECT_EQ(streamed, reference)
+          << app.name << " / " << core::scheme_name(scheme);
     }
   }
 }

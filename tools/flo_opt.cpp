@@ -1,9 +1,8 @@
 // flo_opt — the standalone layout-optimizer driver.
 //
 //   flo_opt <program.flo> [--check] [--threads N] [--mask both|io|storage]
-//           [--solver unimodular|constraint] [--simulate] [--pseudocode]
-//           [--faults SPEC] [--qos SPEC] [--sched look|fcfs|priority]
-//           [--metrics off|text|json|chrome]
+//           [--simulate] [--pseudocode] [--faults SPEC] [--qos SPEC]
+//           [--sched look|fcfs|priority] [--metrics off|text|json|chrome]
 //
 // `--check` parses and validates only (no optimization, no output beyond
 // diagnostics) — the corpus tests and fuzzer repros use it as a fast
@@ -45,7 +44,6 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <program.flo> [--check] [--threads N]"
                " [--mask both|io|storage]"
-               " [--solver unimodular|constraint]"
                " [--simulate] [--pseudocode] [--faults SPEC]"
                " [--qos SPEC] [--sched look|fcfs|priority]"
                " [--metrics off|text|json|chrome]\n";
@@ -64,7 +62,6 @@ int main(int argc, char** argv) {
   bool simulate = false;
   bool pseudocode = false;
   bool check_only = false;
-  core::SolverKind solver = core::solver_from_env();
   std::string fault_spec;
   std::string qos_spec;
   std::string sched_name;
@@ -97,14 +94,6 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-    } else if (arg == "--solver" && i + 1 < argc) {
-      const auto parsed = core::parse_solver(argv[++i]);
-      if (!parsed) return usage(argv[0]);
-      solver = *parsed;
-    } else if (arg.rfind("--solver=", 0) == 0) {
-      const auto parsed = core::parse_solver(arg.substr(9));
-      if (!parsed) return usage(argv[0]);
-      solver = *parsed;
     } else if (arg == "--check") {
       check_only = true;
     } else if (arg == "--simulate") {
@@ -167,12 +156,10 @@ int main(int argc, char** argv) {
     const core::FileLayoutOptimizer optimizer(topology);
     core::OptimizerOptions options;
     options.mask = mask;
-    options.solver = solver;
     const auto result = optimizer.optimize(program, schedule, options);
     std::cout << result.plan.to_string() << '\n';
 
     if (simulate) {
-      config.solver = solver;
       core::ExperimentConfig inter = config;
       inter.scheme = core::Scheme::kInterNode;
       const auto results = core::ExperimentEngine().run(

@@ -8,16 +8,6 @@
 //
 // Environment knobs (all optional; see README "Environment variables"):
 //   FLO_WORKERS      worker threads (default: hardware concurrency)
-//   FLO_FAULTS       fault-injection spec applied to every topology the
-//                    bench simulates (storage/fault_model.hpp syntax);
-//                    unset/empty leaves output byte-identical to a
-//                    fault-free build
-//   FLO_QOS          tenant QoS spec applied to every topology the bench
-//                    simulates (storage/qos.hpp syntax: shares=…, prio=…,
-//                    dynamic=…, epoch=…, sched=…, window=…); unset/empty
-//                    leaves output byte-identical to a QoS-free build
-//   FLO_SCHED        disk scheduling policy (look | fcfs | priority);
-//                    overrides any sched= key in FLO_QOS
 //   FLO_JOURNAL      checkpoint journal path — completed cells stream to
 //                    it and a rerun resumes, skipping journaled cells
 //   FLO_JOB_TIMEOUT  wall-clock seconds per cell attempt (0 = unlimited)
@@ -34,9 +24,6 @@
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "storage/fault_model.hpp"
-#include "storage/qos.hpp"
-#include "storage/sim_core.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 #include "workloads/suite.hpp"
@@ -87,44 +74,9 @@ inline std::size_t workers_from_env() {
   return 0;  // engine default: hardware concurrency
 }
 
-/// Validates FLO_SIM up front so a typo is a clean two-line diagnostic
-/// instead of an uncaught std::invalid_argument mid-grid.
-inline void validate_sim_core_env() {
-  if (const char* env = std::getenv("FLO_SIM")) {
-    if (*env != '\0' && !storage::parse_sim_core(env)) {
-      die_env("FLO_SIM", "unknown simulator core (want clock or event)", env);
-    }
-  }
-}
-
-/// Same up-front validation for the tenant QoS knobs: FLO_SCHED must name
-/// a known disk scheduler and FLO_QOS must parse as a storage/qos.hpp
-/// spec. A typo'd spec would otherwise surface as an uncaught
-/// std::invalid_argument mid-grid, or — worse — benchmark without the
-/// partitioning the operator thought they asked for.
-inline void validate_qos_env() {
-  if (const char* env = std::getenv("FLO_SCHED")) {
-    if (*env != '\0' && !storage::parse_sched_policy(env)) {
-      die_env("FLO_SCHED",
-              "unknown disk scheduler (want look, fcfs or priority)", env);
-    }
-  }
-  if (const char* env = std::getenv("FLO_QOS")) {
-    if (*env != '\0') {
-      try {
-        (void)storage::parse_qos_spec(env);
-      } catch (const std::exception& err) {
-        die_env("FLO_QOS", err.what(), env);
-      }
-    }
-  }
-}
-
 /// Engine options assembled from the environment (workers, checkpoint
 /// journal, per-cell timeout/retry budgets). Malformed knobs exit 2.
 inline core::EngineOptions engine_options_from_env() {
-  validate_sim_core_env();
-  validate_qos_env();
   core::EngineOptions options;
   options.workers = workers_from_env();
   options.share_compilations = true;
@@ -151,40 +103,14 @@ inline core::ExperimentEngine& engine() {
   return instance;
 }
 
-/// Applies the FLO_FAULTS spec (if any) to a config's topology. Benches
-/// call this on every config they build so an operator can study any
-/// figure under injected faults; without the variable this is an exact
-/// no-op, preserving byte-identical baseline output.
-inline core::ExperimentConfig with_env_faults(core::ExperimentConfig config) {
-  config.topology.fault =
-      storage::fault_config_from_env(config.topology.fault);
-  if (config.compile_topology) {
-    config.compile_topology->fault = config.topology.fault;
-  }
-  return config;
-}
-
-/// Applies the FLO_QOS / FLO_SCHED knobs (if any) to a config's topology,
-/// mirroring with_env_faults: every bench config passes through here, so
-/// an operator can study any figure under cache partitioning or an
-/// alternate disk scheduler; without the variables this is an exact no-op.
-inline core::ExperimentConfig with_env_qos(core::ExperimentConfig config) {
-  config.topology.qos = storage::qos_config_from_env(config.topology.qos);
-  if (config.compile_topology) {
-    config.compile_topology->qos = config.topology.qos;
-  }
-  return config;
-}
-
 /// Runs one configuration over every application; results in suite order.
 inline std::vector<core::ExperimentResult> run_suite(
     const core::ExperimentConfig& config,
     const std::vector<workloads::Workload>& suite) {
-  const core::ExperimentConfig faulted = with_env_qos(with_env_faults(config));
   std::vector<core::ExperimentJob> jobs;
   jobs.reserve(suite.size());
   for (const auto& app : suite) {
-    jobs.push_back({app.name, &app.program, faulted});
+    jobs.push_back({app.name, &app.program, config});
   }
   return engine().run(jobs);
 }
@@ -208,15 +134,11 @@ inline std::vector<std::vector<core::AppMeasurement>> run_variant_grid(
   std::vector<core::ExperimentJob> jobs;
   jobs.reserve(variants.size() * suite.size() * 2);
   for (const auto& variant : variants) {
-    const core::ExperimentConfig baseline =
-        with_env_qos(with_env_faults(variant.baseline));
-    const core::ExperimentConfig optimized =
-        with_env_qos(with_env_faults(variant.optimized));
     for (const auto& app : suite) {
       jobs.push_back({app.name + "/" + variant.label + "/base", &app.program,
-                      baseline});
+                      variant.baseline});
       jobs.push_back({app.name + "/" + variant.label + "/opt", &app.program,
-                      optimized});
+                      variant.optimized});
     }
   }
   const std::vector<core::ExperimentResult> results = engine().run(jobs);

@@ -151,19 +151,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Union the filters in registry order, without duplicates.
-  std::vector<const ScenarioSpec*> selected;
-  for (const auto& spec : flo::bench::scenarios()) {
-    bool matched = false;
-    for (const auto& filter : filters) {
-      matched = flo::bench::glob_match(filter, spec.name);
-      for (std::size_t t = 0; !matched && t < spec.tags.size(); ++t) {
-        matched = flo::bench::glob_match(filter, spec.tags[t]);
-      }
-      if (matched) break;
-    }
-    if (matched) selected.push_back(&spec);
-  }
+  const std::vector<const ScenarioSpec*> selected =
+      flo::bench::match_scenarios(filters);
   if (selected.empty()) {
     std::cerr << "flo_bench: no scenario matches";
     for (const auto& filter : filters) std::cerr << " '" << filter << "'";

@@ -26,18 +26,20 @@ const ScenarioSpec* find_scenario(const std::string& name) {
   return nullptr;
 }
 
-bool glob_match(const std::string& pattern, const std::string& text) {
-  return util::glob_match(pattern, text);
-}
-
-std::vector<const ScenarioSpec*> match_scenarios(const std::string& pattern) {
+std::vector<const ScenarioSpec*> match_scenarios(
+    const std::vector<std::string>& patterns) {
+  const auto matches = [&](const ScenarioSpec& spec) {
+    for (const auto& pattern : patterns) {
+      if (util::glob_match(pattern, spec.name)) return true;
+      for (const auto& tag : spec.tags) {
+        if (util::glob_match(pattern, tag)) return true;
+      }
+    }
+    return false;
+  };
   std::vector<const ScenarioSpec*> out;
   for (const auto& spec : scenarios()) {
-    bool matched = glob_match(pattern, spec.name);
-    for (std::size_t i = 0; !matched && i < spec.tags.size(); ++i) {
-      matched = glob_match(pattern, spec.tags[i]);
-    }
-    if (matched) out.push_back(&spec);
+    if (matches(spec)) out.push_back(&spec);
   }
   return out;
 }

@@ -60,12 +60,11 @@ const std::vector<ScenarioSpec>& scenarios();
 /// nullptr when no scenario has that exact name.
 const ScenarioSpec* find_scenario(const std::string& name);
 
-/// Shell-style glob over `*` and `?` (no character classes); anchored at
-/// both ends, so "fig7*" matches "fig7a" but not "xfig7a". Thin wrapper
-/// over util::glob_match.
-bool glob_match(const std::string& pattern, const std::string& text);
-
-/// Scenarios whose name or any tag matches the glob, in registry order.
-std::vector<const ScenarioSpec*> match_scenarios(const std::string& pattern);
+/// Scenarios whose name or any tag matches at least one of the globs
+/// (util::glob_match: `*` and `?`, anchored at both ends, so "fig7*"
+/// matches "fig7a" but not "xfig7a"). The union comes back in registry
+/// order without duplicates — the order a multi-filter run executes.
+std::vector<const ScenarioSpec*> match_scenarios(
+    const std::vector<std::string>& patterns);
 
 }  // namespace flo::bench

@@ -278,11 +278,8 @@ int run_ablation_template(ScenarioContext& ctx) {
 // row-major baseline and the inter-node-optimized layout (each normalized
 // to its own fault-free run), the layout improvement retained, and the
 // injected-fault counters. Faults are seeded, so the table is
-// deterministic for any FLO_WORKERS.
-//
-// FLO_FAULTS overrides the per-rate FaultConfig this bench constructs
-// (every cell then runs under the same spec), which collapses the sweep —
-// leave it unset. FLO_JOURNAL / FLO_JOB_* apply as for every bench.
+// deterministic for any FLO_WORKERS. FLO_JOURNAL / FLO_JOB_* apply as for
+// every bench.
 int run_fault_sweep(ScenarioContext& ctx) {
   const double rates[] = {0.0, 0.01, 0.05, 0.1};
   const auto suite = workloads::workload_suite();
@@ -398,11 +395,12 @@ int run_calibrate(ScenarioContext& ctx) {
 }
 
 // BM_SolverAblation — the two Step I backends (core/layout_solver.hpp)
-// head to head: optimizer wall time over the suite, the layout
-// improvement each backend's plans deliver, and how close each run lands
-// to its I/O lower bound (core/io_lower_bound.hpp). The achieved/bound
-// ratio is the scenario's headline: 1.00 would mean every byte filled
-// into a cache layer was compulsory.
+// head to head: the layout improvement each backend's plans deliver and
+// how close each run lands to its I/O lower bound
+// (core/io_lower_bound.hpp). The achieved/bound ratio is the scenario's
+// headline: 1.00 would mean every byte filled into a cache layer was
+// compulsory. Optimizer wall time over the suite goes only to the
+// compile_seconds.* --out rows, so stdout stays deterministic.
 int run_solver_ablation(ScenarioContext& ctx) {
   const auto suite = workloads::workload_suite();
 
@@ -481,9 +479,7 @@ int run_solver_ablation(ScenarioContext& ctx) {
     improvement[b] = core::average_improvement(grid[b]);
     const double avg_ratio =
         core::safe_average(ratio_sum[b], suite.size());
-    ctx.out() << backends[b].label << ": compile "
-              << util::format_duration(compile_seconds[b])
-              << ", average improvement "
+    ctx.out() << backends[b].label << ": average improvement "
               << util::format_percent(improvement[b])
               << ", average achieved/bound "
               << util::format_fixed(avg_ratio, 2) << '\n';

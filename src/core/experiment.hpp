@@ -57,10 +57,9 @@ struct ExperimentConfig {
   /// so cells never mix backends.
   SolverKind solver = SolverKind::kUnimodular;
   TraceMode trace = TraceMode::kStreaming;
-  /// Simulator core (DESIGN.md §4g). Defaults to the FLO_SIM process
-  /// default (clock unless FLO_SIM=event); set explicitly to pin a cell
-  /// to one core regardless of the environment.
-  storage::SimCoreKind sim_core = storage::sim_core_from_env();
+  /// Simulator core (DESIGN.md §4g): the clock core unless a cell asks
+  /// for the event core.
+  storage::SimCoreKind sim_core = storage::SimCoreKind::kClock;
   /// When set, the optimizer compiles against this topology while the
   /// simulation runs on `topology` — the Section 4.3 template-hierarchy
   /// scenario (compile once per template family, run on any member).

@@ -177,7 +177,6 @@ std::string serialize_response(const Response& response) {
   if (!response.tenant.empty()) out << "tenant: " << response.tenant << '\n';
   if (!response.tier.empty()) out << "tier: " << response.tier << '\n';
   if (!response.cache.empty()) out << "cache: " << response.cache << '\n';
-  if (!response.sched.empty()) out << "sched: " << response.sched << '\n';
   if (response.degraded) out << "degraded: 1\n";
   if (!response.fingerprint.empty()) {
     out << "fingerprint: " << response.fingerprint << '\n';
@@ -211,7 +210,6 @@ Response parse_response(const std::string& payload) {
         else if (key == "tenant") response.tenant = value;
         else if (key == "tier") response.tier = value;
         else if (key == "cache") response.cache = value;
-        else if (key == "sched") response.sched = value;
         else if (key == "degraded") response.degraded = value == "1";
         else if (key == "fingerprint") response.fingerprint = value;
         else if (key == "body_hash") response.body_hash = value;

@@ -89,8 +89,6 @@ struct Response {
   std::string tenant;
   std::string tier;         ///< "exact"/"template" (ok only)
   std::string cache;        ///< "hit"/"miss" (ok only)
-  std::string sched;        ///< disk scheduler of the daemon's QoS config
-                            ///< (FLO_QOS/FLO_SCHED); empty when QoS is off
   bool degraded = false;    ///< served below the requested tier
   std::string fingerprint;  ///< compile key actually served
   std::string body_hash;    ///< hex16(fnv1a(request program)) — leak canary

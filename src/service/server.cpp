@@ -15,7 +15,6 @@
 
 #include "ir/parser.hpp"
 #include "obs/metrics.hpp"
-#include "storage/qos.hpp"
 #include "util/framing.hpp"
 
 namespace flo::service {
@@ -380,15 +379,6 @@ Response Server::compile_response(Job& job) {
   config.topology.storage_cache_bytes =
       scaled_bytes(config.topology.storage_cache_bytes, request.cache_scale);
   config.scheme = scheme_of(request.mask);
-  // Daemon-wide tenant QoS (FLO_QOS/FLO_SCHED, validated at startup):
-  // joins the topology, hence the compile fingerprint, so QoS'd and plain
-  // compiles never alias a cache key. The response echoes the scheduler so
-  // clients can see which discipline their plans were keyed under.
-  config.topology.qos = storage::qos_config_from_env();
-  if (config.topology.qos.enabled) {
-    r.sched = storage::sched_policy_name(config.topology.qos.scheduler);
-    count("service.qos.requests");
-  }
 
   const std::uint64_t program_fp = core::program_fingerprint(program);
   const std::string exact_key = core::compile_fingerprint(program_fp, config);

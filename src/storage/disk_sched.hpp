@@ -7,7 +7,7 @@
 //                position, reverse when exhausted. Bit-identical to the
 //                former inline code (same {lba, seq} ordered map, same
 //                lower_bound/sweep-flag logic), which is what keeps
-//                FLO_SCHED=look inside the qos-neutrality envelope.
+//                an explicit `look` inside the qos-neutrality envelope.
 //   * fcfs     — strict arrival order, seek costs be damned. The honest
 //                baseline a fairness win must be measured against.
 //   * priority — earliest deadline first: a queued request's deadline is

@@ -1,4 +1,4 @@
-// Discrete-event simulation core (FLO_SIM=event).
+// Discrete-event simulation core (SimCoreKind::kEvent).
 //
 // Where the clock core advances each thread's private virtual clock through
 // a request's *total* latency in one scheduler step, the event core stages

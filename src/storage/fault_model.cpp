@@ -1,6 +1,5 @@
 #include "storage/fault_model.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 namespace flo::storage {
@@ -154,12 +153,6 @@ FaultConfig parse_fault_spec(const std::string& spec) {
   }
   config.validate();
   return config;
-}
-
-FaultConfig fault_config_from_env(FaultConfig fallback) {
-  const char* env = std::getenv("FLO_FAULTS");
-  if (env == nullptr || *env == '\0') return fallback;
-  return parse_fault_spec(env);
 }
 
 FaultPlan::FaultPlan(FaultConfig config) : config_(std::move(config)) {

@@ -80,11 +80,6 @@ struct FaultConfig {
 /// disabled config. Throws std::invalid_argument on malformed input.
 FaultConfig parse_fault_spec(const std::string& spec);
 
-/// FaultConfig from the FLO_FAULTS environment variable (parse_fault_spec
-/// syntax). Returns `fallback` unchanged when the variable is unset or
-/// empty, so default runs stay byte-identical to the fault-free build.
-FaultConfig fault_config_from_env(FaultConfig fallback = {});
-
 /// Seeded decision stream over a FaultConfig. Each decision category
 /// (storage failure, disk failure, disk slowdown) hashes (seed, category,
 /// draw index), so the sequence depends only on the seed and how many

@@ -26,21 +26,6 @@ std::optional<SchedPolicyKind> parse_sched_policy(const std::string& name) {
   return std::nullopt;
 }
 
-SchedPolicyKind sched_policy_from_env() {
-  static const SchedPolicyKind policy = [] {
-    const char* env = std::getenv("FLO_SCHED");
-    if (env == nullptr || *env == '\0') return SchedPolicyKind::kLook;
-    const auto parsed = parse_sched_policy(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SCHED: unknown disk scheduling policy '") + env +
-          "' (expected look, fcfs or priority)");
-    }
-    return *parsed;
-  }();
-  return policy;
-}
-
 void QosConfig::validate() const {
   for (std::uint32_t s : shares) {
     if (s == 0) {
@@ -152,15 +137,21 @@ QosConfig parse_qos_spec(const std::string& spec) {
   return config;
 }
 
-QosConfig qos_config_from_env(QosConfig fallback) {
+QosConfig qos_config_from_env() {
   const char* env = std::getenv("FLO_QOS");
   QosConfig config =
-      (env == nullptr || *env == '\0') ? fallback : parse_qos_spec(env);
+      (env == nullptr || *env == '\0') ? QosConfig{} : parse_qos_spec(env);
   const char* sched = std::getenv("FLO_SCHED");
   if (sched != nullptr && *sched != '\0') {
-    // FLO_SCHED overrides whatever the spec (or fallback) chose; a bare
+    // FLO_SCHED overrides whatever the spec chose; a bare
     // FLO_SCHED also enables QoS so the policy reaches the simulator.
-    config.scheduler = sched_policy_from_env();
+    const auto policy = parse_sched_policy(sched);
+    if (!policy) {
+      throw std::invalid_argument(
+          std::string("FLO_SCHED: unknown disk scheduling policy '") + sched +
+          "' (expected look, fcfs or priority)");
+    }
+    config.scheduler = *policy;
     config.enabled = true;
   }
   return config;

@@ -43,11 +43,6 @@ const char* sched_policy_name(SchedPolicyKind policy);
 /// Parses "look", "fcfs" or "priority" (case-sensitive); nullopt otherwise.
 std::optional<SchedPolicyKind> parse_sched_policy(const std::string& name);
 
-/// Process default from FLO_SCHED ("look" when unset/empty). An
-/// unrecognized value throws std::invalid_argument once, loudly, instead
-/// of silently scheduling with the wrong policy.
-SchedPolicyKind sched_policy_from_env();
-
 struct QosConfig {
   /// Master switch: when false the simulator takes the exact pre-QoS code
   /// paths and results are byte-identical to a build without QoS.
@@ -96,11 +91,10 @@ struct QosConfig {
 QosConfig parse_qos_spec(const std::string& spec);
 
 /// QosConfig from the FLO_QOS environment variable (parse_qos_spec
-/// syntax), with FLO_SCHED overriding the scheduler field afterwards.
-/// Returns `fallback` (scheduler possibly overridden) when FLO_QOS is
-/// unset or empty, so default runs stay byte-identical to the pre-QoS
-/// build.
-QosConfig qos_config_from_env(QosConfig fallback = {});
+/// syntax), with FLO_SCHED overriding the scheduler field afterwards; a
+/// disabled config when both are unset or empty. Kept only for the
+/// perfbench serve_compile workload (perfbench/src/serve_workload.cpp).
+QosConfig qos_config_from_env();
 
 /// Largest-remainder apportionment of `capacity` blocks over `shares`
 /// (every tenant gets at least one block; remainders break ties by lower

@@ -1,8 +1,5 @@
 #include "storage/sim_core.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-
 namespace flo::storage {
 
 const char* sim_core_name(SimCoreKind core) {
@@ -13,27 +10,6 @@ const char* sim_core_name(SimCoreKind core) {
       return "event";
   }
   return "?";
-}
-
-std::optional<SimCoreKind> parse_sim_core(const std::string& name) {
-  if (name == "clock") return SimCoreKind::kClock;
-  if (name == "event") return SimCoreKind::kEvent;
-  return std::nullopt;
-}
-
-SimCoreKind sim_core_from_env() {
-  static const SimCoreKind core = [] {
-    const char* env = std::getenv("FLO_SIM");
-    if (env == nullptr || *env == '\0') return SimCoreKind::kClock;
-    const auto parsed = parse_sim_core(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SIM: unknown simulator core '") + env +
-          "' (expected clock or event)");
-    }
-    return *parsed;
-  }();
-  return core;
 }
 
 }  // namespace flo::storage

@@ -24,7 +24,7 @@ namespace flo::storage {
 /// the golden reference: min-clock-first stepping with the extent fast
 /// paths. The event core (storage/event_core.hpp) stages requests through
 /// a global discrete-event queue and adds queueing at shared components.
-/// FLO_SIM (or set_core) selects which one run() drives.
+/// set_core selects which one run() drives (default: the clock core).
 class HierarchySimulator {
  public:
   /// `io_node_of_thread[t]` is the I/O node serving thread t (derived from
@@ -67,11 +67,10 @@ class HierarchySimulator {
   void set_extent_batching(bool enabled) { extent_batching_ = enabled; }
   bool extent_batching() const { return extent_batching_; }
 
-  /// Simulation core selection (default: the FLO_SIM environment knob,
-  /// clock unless set to "event"). The clock core is the golden reference;
-  /// the event core models queueing at shared components and is held to it
-  /// by the event-vs-clock fuzz oracle inside the equivalence envelope
-  /// (DESIGN.md §4g).
+  /// Simulation core selection (default: clock). The clock core is the
+  /// golden reference; the event core models queueing at shared components
+  /// and is held to it by the event-vs-clock fuzz oracle inside the
+  /// equivalence envelope (DESIGN.md §4g).
   void set_core(SimCoreKind core) { core_ = core; }
   SimCoreKind core() const { return core_; }
 
@@ -89,7 +88,7 @@ class HierarchySimulator {
  private:
   Hierarchy hierarchy_;
   bool extent_batching_ = extents_enabled();
-  SimCoreKind core_ = sim_core_from_env();
+  SimCoreKind core_ = SimCoreKind::kClock;
   bool stopped_ = false;  ///< the last run() hit its stop time
 };
 

@@ -345,8 +345,7 @@ storage::SimulationResult simulate_once(const FuzzCase& fc,
   storage::HierarchySimulator simulator(
       topology, fc.system.policy,
       io_nodes_of_threads(compiled.schedule, topology), std::move(hints));
-  // This helper exists for the clock core's extent-path contract; keep it
-  // pinned there so the oracle means the same thing under FLO_SIM=event.
+  // This helper exists for the clock core's extent-path contract.
   simulator.set_core(storage::SimCoreKind::kClock);
   simulator.set_extent_batching(extents);
   return simulator.run(source);
@@ -798,10 +797,10 @@ std::optional<std::string> check_qos_neutrality(const FuzzCase& fc) {
   // unpartitioned cache and the explicit LOOK scheduler IS the event
   // core's built-in elevator — so the run must be bit-identical to the
   // plain baseline in BOTH cores, static and dynamic modes alike. The
-  // scheduler-only config (enabled, empty shares — what a bare FLO_SCHED
-  // produces) must be neutral too. Everything the QoS scenarios measure
-  // rests on this floor: a delta under real shares is only attributable
-  // to policy if the do-nothing policy costs nothing.
+  // scheduler-only config (enabled, empty shares: the event core's disk
+  // scheduler alone) must be neutral too. Everything the QoS scenarios
+  // measure rests on this floor: a delta under real shares is only
+  // attributable to policy if the do-nothing policy costs nothing.
   static constexpr storage::SimCoreKind kCores[] = {
       storage::SimCoreKind::kClock, storage::SimCoreKind::kEvent};
   const core::ExperimentConfig config =
@@ -849,7 +848,7 @@ std::optional<std::string> check_qos_neutrality(const FuzzCase& fc) {
   modes[1].qos.dynamic_shares = true;
   modes[1].qos.epoch_accesses = 64;  // small: epochs must actually fire
   modes[1].tenants = true;
-  modes[2].label = "scheduler-only (bare FLO_SCHED)";
+  modes[2].label = "scheduler-only";
   modes[2].qos.enabled = true;
   modes[2].tenants = false;
 

@@ -7,9 +7,12 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/glob.hpp"
 
 namespace flo::bench {
 namespace {
@@ -41,6 +44,7 @@ TEST(ScenarioRegistryTest, FindScenario) {
 }
 
 TEST(GlobMatchTest, Basics) {
+  using util::glob_match;
   EXPECT_TRUE(glob_match("fig7a", "fig7a"));
   EXPECT_FALSE(glob_match("fig7a", "fig7b"));
   EXPECT_TRUE(glob_match("fig7*", "fig7a"));
@@ -57,12 +61,25 @@ TEST(GlobMatchTest, Basics) {
 }
 
 TEST(GlobMatchTest, MatchesTagsToo) {
-  const auto figures = match_scenarios("figure");
+  const auto figures = match_scenarios({"figure"});
   EXPECT_EQ(figures.size(), 8u);  // fig7a..fig7h carry the "figure" tag
-  const auto by_name = match_scenarios("fig7*");
+  const auto by_name = match_scenarios({"fig7*"});
   EXPECT_EQ(by_name.size(), 8u);
-  const auto none = match_scenarios("no-such-thing");
+  const auto none = match_scenarios({"no-such-thing"});
   EXPECT_TRUE(none.empty());
+}
+
+TEST(GlobMatchTest, FiltersUnionInRegistryOrderWithoutDuplicates) {
+  // "smoke" is registered after the tables; "fig7b" matches both its own
+  // name and "fig7?"; "table" is a tag of table2 and table3.
+  const auto selected =
+      match_scenarios({"smoke", "fig7b", "fig7?", "table", "no-such-thing"});
+  std::vector<std::string> names;
+  for (const ScenarioSpec* spec : selected) names.push_back(spec->name);
+  const std::vector<std::string> expected = {
+      "table2", "table3", "fig7a", "fig7b", "fig7c", "fig7d",
+      "fig7e",  "fig7f",  "fig7g", "fig7h", "smoke"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(SmokeScenarioTest, RunsAndEmitsHeadlineRows) {

@@ -23,13 +23,6 @@ ExperimentConfig small_config() {
   config.topology.io_cache_bytes = 512;
   config.topology.storage_cache_bytes = 1024;
   config.threads = 8;
-  // This suite pins the clock model's relative-timing claims (the
-  // paper's model: no cross-thread disk contention). Under the event
-  // core this micro-topology legitimately inverts some comparisons —
-  // eight disjoint optimized streams over two spindles serialize while
-  // the scattered baseline rides shared cache fills; the full
-  // workloads still favor the optimizer under both cores.
-  config.sim_core = storage::SimCoreKind::kClock;
   return config;
 }
 

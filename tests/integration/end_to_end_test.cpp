@@ -15,11 +15,6 @@ namespace {
 core::ExperimentConfig default_config(core::Scheme scheme) {
   core::ExperimentConfig config;
   config.scheme = scheme;
-  // The paper's qualitative claims are claims about its model — the
-  // clock core. Pin it so a FLO_SIM=event environment doesn't re-grade
-  // Fig. 7 under contention-aware timings (where cache-pressure sweeps
-  // shift, legitimately, by a few percent).
-  config.sim_core = storage::SimCoreKind::kClock;
   return config;
 }
 

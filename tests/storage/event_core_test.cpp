@@ -1,4 +1,4 @@
-// Event core (FLO_SIM=event): EventQueue mechanics, the contention
+// Event core (SimCoreKind::kEvent): EventQueue mechanics, the contention
 // semantics the clock core cannot express (concurrent misses, queue
 // waits, readahead occupying the disk), and the event≡clock equivalence
 // envelope (DESIGN.md §4g) that the fuzz oracle pins at scale.
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "sim_cores.hpp"
 #include "storage/event_queue.hpp"
 #include "storage/simulator.hpp"
 
@@ -65,11 +66,7 @@ TEST(EventQueueTest, TracksMaxPendingAndClears) {
   EXPECT_NO_THROW(q.push(0.0, EventKind::kThreadIssue, 0));
 }
 
-TEST(SimCoreTest, ParsesAndNamesCores) {
-  EXPECT_EQ(parse_sim_core("clock"), SimCoreKind::kClock);
-  EXPECT_EQ(parse_sim_core("event"), SimCoreKind::kEvent);
-  EXPECT_FALSE(parse_sim_core("EVENT").has_value());
-  EXPECT_FALSE(parse_sim_core("").has_value());
+TEST(SimCoreTest, NamesCores) {
   EXPECT_STREQ(sim_core_name(SimCoreKind::kClock), "clock");
   EXPECT_STREQ(sim_core_name(SimCoreKind::kEvent), "event");
 }
@@ -89,12 +86,6 @@ TopologyConfig tiny_config(std::size_t io_blocks = 4,
   return c;
 }
 
-std::vector<NodeId> identity_io_mapping(const StorageTopology& topo) {
-  std::vector<NodeId> out(topo.config().compute_nodes);
-  for (NodeId c = 0; c < out.size(); ++c) out[c] = topo.io_node_of(c);
-  return out;
-}
-
 HierarchySimulator event_sim(const StorageTopology& topo,
                              PolicyKind policy = PolicyKind::kLruInclusive,
                              std::vector<RangeHint> hints = {}) {
@@ -108,6 +99,7 @@ TEST(SimCoreTest, SetCoreOverridesDefault) {
   const StorageTopology topo(tiny_config());
   HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
                          identity_io_mapping(topo));
+  EXPECT_EQ(sim.core(), SimCoreKind::kClock);
   sim.set_core(SimCoreKind::kEvent);
   EXPECT_EQ(sim.core(), SimCoreKind::kEvent);
   sim.set_core(SimCoreKind::kClock);

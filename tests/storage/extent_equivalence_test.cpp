@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "sim_cores.hpp"
 #include "storage/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -24,12 +25,6 @@ TopologyConfig small_config() {
   c.io_cache_bytes = 6 * c.block_size;
   c.storage_cache_bytes = 10 * c.block_size;
   return c;
-}
-
-std::vector<NodeId> identity_io_mapping(const StorageTopology& topo) {
-  std::vector<NodeId> out(topo.config().compute_nodes);
-  for (NodeId c = 0; c < out.size(); ++c) out[c] = topo.io_node_of(c);
-  return out;
 }
 
 /// Expands every extent into its defining per-block events.
@@ -289,11 +284,10 @@ TEST(ExtentEquivalenceTest, RunBlocksZeroDegradesToSingleBlock) {
   one.phases[0].per_thread[0][0].run_blocks = 1;
 
   const StorageTopology topo(small_config());
-  HierarchySimulator a(topo, PolicyKind::kLruInclusive,
-                       identity_io_mapping(topo));
-  HierarchySimulator b(topo, PolicyKind::kLruInclusive,
-                       identity_io_mapping(topo));
-  EXPECT_EQ(a.run(zero), b.run(one));
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    EXPECT_EQ(sim_on(core, topo).run(zero), sim_on(core, topo).run(one));
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim_cores.hpp"
 #include "storage/simulator.hpp"
 #include "storage/stats.hpp"
 
@@ -22,12 +23,6 @@ TopologyConfig tiny_config(std::size_t io_blocks = 4,
   c.io_cache_bytes = io_blocks * c.block_size;
   c.storage_cache_bytes = storage_blocks * c.block_size;
   return c;
-}
-
-std::vector<NodeId> identity_io_mapping(const StorageTopology& topo) {
-  std::vector<NodeId> out(topo.config().compute_nodes);
-  for (NodeId c = 0; c < out.size(); ++c) out[c] = topo.io_node_of(c);
-  return out;
 }
 
 TraceProgram single_thread_trace(std::vector<std::uint64_t> blocks,
@@ -160,20 +155,21 @@ TEST(FaultSimulationTest, DisabledFaultsAreByteIdentical) {
   TopologyConfig zero_cfg = tiny_config();
   zero_cfg.fault.enabled = true;  // enabled but nothing can fire
 
-  for (const auto policy :
-       {PolicyKind::kLruInclusive, PolicyKind::kDemoteLru, PolicyKind::kKarma,
-        PolicyKind::kMqInclusive}) {
-    HierarchySimulator base(baseline, policy, identity_io_mapping(baseline));
-    const auto expect = base.run(trace);
-    const StorageTopology disabled(disabled_cfg);
-    HierarchySimulator off(disabled, policy, identity_io_mapping(disabled));
-    EXPECT_EQ(off.run(trace), expect) << "disabled faults, policy "
-                                      << static_cast<int>(policy);
-    const StorageTopology zero(zero_cfg);
-    HierarchySimulator none(zero, policy, identity_io_mapping(zero));
-    EXPECT_EQ(none.run(trace), expect) << "zero-rate faults, policy "
-                                       << static_cast<int>(policy);
-    EXPECT_FALSE(none.run(trace).faults.any());
+  const StorageTopology disabled(disabled_cfg);
+  const StorageTopology zero(zero_cfg);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    for (const auto policy :
+         {PolicyKind::kLruInclusive, PolicyKind::kDemoteLru,
+          PolicyKind::kKarma, PolicyKind::kMqInclusive}) {
+      const auto expect = sim_on(core, baseline, policy).run(trace);
+      EXPECT_EQ(sim_on(core, disabled, policy).run(trace), expect)
+          << "disabled faults, policy " << static_cast<int>(policy);
+      HierarchySimulator none = sim_on(core, zero, policy);
+      EXPECT_EQ(none.run(trace), expect)
+          << "zero-rate faults, policy " << static_cast<int>(policy);
+      EXPECT_FALSE(none.run(trace).faults.any());
+    }
   }
 }
 
@@ -183,22 +179,22 @@ TEST(FaultSimulationTest, TransientFailuresChargeRetriesAndBackoff) {
   cfg.fault.disk_transient_rate = 1.0;  // every attempt fails
   cfg.fault.max_retries = 2;
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto faulted = sim.run(single_thread_trace({1, 2, 3}));
-
   const StorageTopology clean(tiny_config());
-  HierarchySimulator base(clean, PolicyKind::kLruInclusive,
-                          identity_io_mapping(clean));
-  const auto expect = base.run(single_thread_trace({1, 2, 3}));
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto faulted =
+        sim_on(core, topo).run(single_thread_trace({1, 2, 3}));
+    const auto expect =
+        sim_on(core, clean).run(single_thread_trace({1, 2, 3}));
 
-  EXPECT_GT(faulted.faults.disk.transient_failures, 0u);
-  EXPECT_EQ(faulted.faults.exhausted_retries, 3u);  // one per disk read
-  EXPECT_GT(faulted.faults.disk.degraded_time, 0.0);
-  EXPECT_GT(faulted.exec_time, expect.exec_time);
-  // Cache behaviour (hits/misses) is unchanged — only time degrades.
-  EXPECT_EQ(faulted.io.hits, expect.io.hits);
-  EXPECT_EQ(faulted.disk_reads, expect.disk_reads);
+    EXPECT_GT(faulted.faults.disk.transient_failures, 0u);
+    EXPECT_EQ(faulted.faults.exhausted_retries, 3u);  // one per disk read
+    EXPECT_GT(faulted.faults.disk.degraded_time, 0.0);
+    EXPECT_GT(faulted.exec_time, expect.exec_time);
+    // Cache behaviour (hits/misses) is unchanged — only time degrades.
+    EXPECT_EQ(faulted.io.hits, expect.io.hits);
+    EXPECT_EQ(faulted.disk_reads, expect.disk_reads);
+  }
 }
 
 TEST(FaultSimulationTest, SlowDiskMultipliesServiceTime) {
@@ -207,11 +203,13 @@ TEST(FaultSimulationTest, SlowDiskMultipliesServiceTime) {
   cfg.fault.slow_disk_rate = 1.0;
   cfg.fault.slow_disk_multiplier = 8.0;
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 2, 3}));
-  EXPECT_EQ(result.faults.disk.slow_services, result.disk_reads);
-  EXPECT_GT(result.faults.disk.degraded_time, 0.0);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo).run(single_thread_trace({1, 2, 3}));
+    EXPECT_EQ(result.faults.disk.slow_services, result.disk_reads);
+    EXPECT_GT(result.faults.disk.degraded_time, 0.0);
+  }
 }
 
 TEST(FaultSimulationTest, StorageOutageBypassesCache) {
@@ -221,12 +219,14 @@ TEST(FaultSimulationTest, StorageOutageBypassesCache) {
   cfg.fault.enabled = true;
   cfg.fault.outages.push_back({FaultLayer::kStorage, 0, 0.0, 1e9});
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 2, 3, 1}));
-  EXPECT_EQ(result.storage.lookups, 0u);
-  EXPECT_GT(result.faults.storage.bypasses, 0u);
-  EXPECT_EQ(result.disk_reads, 4u);  // every miss goes to disk
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo).run(single_thread_trace({1, 2, 3, 1}));
+    EXPECT_EQ(result.storage.lookups, 0u);
+    EXPECT_GT(result.faults.storage.bypasses, 0u);
+    EXPECT_EQ(result.disk_reads, 4u);  // every miss goes to disk
+  }
 }
 
 TEST(FaultSimulationTest, IoOutageBypassesIoCache) {
@@ -235,13 +235,15 @@ TEST(FaultSimulationTest, IoOutageBypassesIoCache) {
   cfg.fault.outages.push_back({FaultLayer::kIo, 0, 0.0, 1e9});
   cfg.fault.outages.push_back({FaultLayer::kIo, 1, 0.0, 1e9});
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 1, 1}));
-  EXPECT_EQ(result.io.lookups, 0u);
-  EXPECT_EQ(result.faults.io.bypasses, 3u);
-  // The storage level still serves re-accesses.
-  EXPECT_EQ(result.storage.hits, 2u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo).run(single_thread_trace({1, 1, 1}));
+    EXPECT_EQ(result.io.lookups, 0u);
+    EXPECT_EQ(result.faults.io.bypasses, 3u);
+    // The storage level still serves re-accesses.
+    EXPECT_EQ(result.storage.hits, 2u);
+  }
 }
 
 TEST(FaultSimulationTest, RepeatedRunsReplayIdenticalFaults) {
@@ -250,14 +252,14 @@ TEST(FaultSimulationTest, RepeatedRunsReplayIdenticalFaults) {
   cfg.fault.disk_transient_rate = 0.3;
   cfg.fault.slow_disk_rate = 0.3;
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
   const auto trace = single_thread_trace({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  const auto first = sim.run(trace);
-  EXPECT_EQ(sim.run(trace), first);
-  HierarchySimulator fresh(topo, PolicyKind::kLruInclusive,
-                           identity_io_mapping(topo));
-  EXPECT_EQ(fresh.run(trace), first);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    HierarchySimulator sim = sim_on(core, topo);
+    const auto first = sim.run(trace);
+    EXPECT_EQ(sim.run(trace), first);
+    EXPECT_EQ(sim_on(core, topo).run(trace), first);
+  }
 }
 
 TEST(WireCodecTest, RoundTripsBitExactly) {
@@ -265,12 +267,14 @@ TEST(WireCodecTest, RoundTripsBitExactly) {
   cfg.fault.enabled = true;
   cfg.fault.disk_transient_rate = 0.3;
   const StorageTopology topo(cfg);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 2, 3, 4, 5, 1, 2}));
-  const auto decoded = from_wire(to_wire(result));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, result);  // bitwise-strict, doubles included
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo).run(single_thread_trace({1, 2, 3, 4, 5, 1, 2}));
+    const auto decoded = from_wire(to_wire(result));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, result);  // bitwise-strict, doubles included
+  }
 }
 
 TEST(WireCodecTest, RejectsMalformedLines) {

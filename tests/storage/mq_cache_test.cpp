@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_cores.hpp"
 #include "storage/simulator.hpp"
 
 namespace flo::storage {
@@ -148,7 +149,6 @@ TEST(MqPolicyTest, SimulatorRunsWithMqStorageLevel) {
   c.io_cache_bytes = 2 * c.block_size;
   c.storage_cache_bytes = 8 * c.block_size;
   const StorageTopology topo(c);
-  HierarchySimulator sim(topo, PolicyKind::kMqInclusive, {0, 0, 1, 1});
   TraceProgram trace;
   trace.file_blocks = {64};
   PhaseTrace phase;
@@ -156,9 +156,13 @@ TEST(MqPolicyTest, SimulatorRunsWithMqStorageLevel) {
   phase.per_thread.resize(1);
   for (std::uint64_t b = 0; b < 6; ++b) phase.per_thread[0].push_back({0, b, 1});
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  EXPECT_GT(result.storage.lookups, 0u);
-  EXPECT_GT(result.storage.hits, 0u);  // inclusive fill + MQ retention
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    HierarchySimulator sim = sim_on(core, topo, PolicyKind::kMqInclusive);
+    const auto result = sim.run(trace);
+    EXPECT_GT(result.storage.lookups, 0u);
+    EXPECT_GT(result.storage.hits, 0u);  // inclusive fill + MQ retention
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sim_cores.hpp"
 #include "storage/simulator.hpp"
 
 namespace flo::storage {
@@ -29,28 +30,29 @@ TraceProgram sequential_trace(std::uint64_t blocks) {
   return trace;
 }
 
-std::vector<NodeId> io_map() { return {0, 0, 1, 1}; }
-
 TEST(PrefetchTest, DisabledByDefault) {
   const StorageTopology topo(prefetch_config(0));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
-  const auto result = sim.run(sequential_trace(8));
-  EXPECT_EQ(result.prefetches, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo).run(sequential_trace(8));
+    EXPECT_EQ(result.prefetches, 0u);
+  }
 }
 
 TEST(PrefetchTest, SequentialStreamTriggersReadahead) {
   const StorageTopology topo(prefetch_config(2));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
-  const auto result = sim.run(sequential_trace(8));
-  EXPECT_GT(result.prefetches, 0u);
-  // Readahead converts most of the stream's disk reads into storage hits.
-  EXPECT_GT(result.storage.hits, 0u);
-  EXPECT_LT(result.disk_reads, 8u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo).run(sequential_trace(8));
+    EXPECT_GT(result.prefetches, 0u);
+    // Readahead converts most of the stream's disk reads into storage hits.
+    EXPECT_GT(result.storage.hits, 0u);
+    EXPECT_LT(result.disk_reads, 8u);
+  }
 }
 
 TEST(PrefetchTest, ScatteredStreamDoesNotTrigger) {
   const StorageTopology topo(prefetch_config(2));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
   TraceProgram trace;
   trace.file_blocks = {128};
   PhaseTrace phase;
@@ -59,13 +61,14 @@ TEST(PrefetchTest, ScatteredStreamDoesNotTrigger) {
     phase.per_thread[0].push_back({0, b * 17 % 128, 1});
   }
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  EXPECT_EQ(result.prefetches, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    EXPECT_EQ(sim_on(core, topo).run(trace).prefetches, 0u);
+  }
 }
 
 TEST(PrefetchTest, ReadaheadStopsAtFileEnd) {
   const StorageTopology topo(prefetch_config(8));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
   TraceProgram trace;
   trace.file_blocks = {4};  // tiny file
   PhaseTrace phase;
@@ -74,9 +77,11 @@ TEST(PrefetchTest, ReadaheadStopsAtFileEnd) {
     phase.per_thread[0].push_back({0, b, 1});
   }
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  // At most the remaining blocks can ever be staged.
-  EXPECT_LE(result.prefetches, 3u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // At most the remaining blocks can ever be staged.
+    EXPECT_LE(sim_on(core, topo).run(trace).prefetches, 3u);
+  }
 }
 
 TEST(PrefetchTest, InterleavedStreamsFasterWithReadahead) {
@@ -96,12 +101,13 @@ TEST(PrefetchTest, InterleavedStreamsFasterWithReadahead) {
 
   const StorageTopology off(prefetch_config(0));
   const StorageTopology on(prefetch_config(4));
-  HierarchySimulator sim_off(off, PolicyKind::kLruInclusive, io_map());
-  HierarchySimulator sim_on(on, PolicyKind::kLruInclusive, io_map());
-  const auto r_off = sim_off.run(trace);
-  const auto r_on = sim_on.run(trace);
-  EXPECT_LT(r_on.thread_time[0], r_off.thread_time[0]);
-  EXPECT_GT(r_on.prefetches, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto r_off = sim_on(core, off).run(trace);
+    const auto r_on = sim_on(core, on).run(trace);
+    EXPECT_LT(r_on.thread_time[0], r_off.thread_time[0]);
+    EXPECT_GT(r_on.prefetches, 0u);
+  }
 }
 
 }  // namespace

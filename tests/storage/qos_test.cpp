@@ -10,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim_cores.hpp"
 #include "storage/disk_sched.hpp"
 #include "storage/lru_cache.hpp"
 #include "storage/mq_cache.hpp"
@@ -281,47 +282,58 @@ TraceProgram two_thread_trace(std::vector<std::uint64_t> thread0,
   return trace;
 }
 
+/// Thread t is tenant t, on `core`; each case below holds on both cores.
+HierarchySimulator two_tenant_sim(const StorageTopology& topo,
+                                  SimCoreKind core) {
+  HierarchySimulator sim = sim_on(core, topo);
+  sim.set_tenants({0, 1}, 2);
+  return sim;
+}
+
 TEST(SimulatorQosTest, ZeroAccessTenantSnapshotsToAllZero) {
   const StorageTopology topo(qos_config({1, 1}));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         {0, 0});
-  sim.set_tenants({0, 1}, 2);
-  // Tenant 1's thread issues nothing: its delta-snapshot slice must be
-  // all-zero (any() false), even though a quota was carved out for it.
-  const auto result =
-      sim.run(two_thread_trace({1, 2, 3, 1, 2, 3}, {}));
-  ASSERT_EQ(result.tenants.size(), 2u);
-  EXPECT_FALSE(result.tenants[1].any());
-  EXPECT_EQ(result.tenants[1], TenantStats{});
-  // ...and tenant 0's slice conserves the aggregates exactly.
-  EXPECT_EQ(result.tenants[0].accesses, result.accesses);
-  EXPECT_EQ(result.tenants[0].io_lookups, result.io.lookups);
-  EXPECT_EQ(result.tenants[0].io_hits, result.io.hits);
-  EXPECT_GT(result.tenants[0].occupancy_peak, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // Tenant 1's thread issues nothing: its delta-snapshot slice must be
+    // all-zero (any() false), even though a quota was carved out for it.
+    const auto result = two_tenant_sim(topo, core)
+                            .run(two_thread_trace({1, 2, 3, 1, 2, 3}, {}));
+    ASSERT_EQ(result.tenants.size(), 2u);
+    EXPECT_FALSE(result.tenants[1].any());
+    EXPECT_EQ(result.tenants[1], TenantStats{});
+    // ...and tenant 0's slice conserves the aggregates exactly.
+    EXPECT_EQ(result.tenants[0].accesses, result.accesses);
+    EXPECT_EQ(result.tenants[0].io_lookups, result.io.lookups);
+    EXPECT_EQ(result.tenants[0].io_hits, result.io.hits);
+    EXPECT_GT(result.tenants[0].occupancy_peak, 0u);
+  }
 }
 
 TEST(SimulatorQosTest, EvictionsAreAttributedToTheInsertingTenant) {
   const StorageTopology topo(qos_config({1, 1}));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, {0, 0});
-  sim.set_tenants({0, 1}, 2);
-  // The shared I/O cache holds 4 blocks, 2 per tenant. Tenant 0 streams
-  // 4 distinct blocks through its 2-block quota and must absorb its own
-  // evictions; tenant 1 touches 2 blocks and evicts nothing.
-  const auto result = sim.run(
-      two_thread_trace({10, 11, 12, 13}, {30, 31}));
-  ASSERT_EQ(result.tenants.size(), 2u);
-  EXPECT_GT(result.tenants[0].io_evictions, 0u);
-  EXPECT_EQ(result.tenants[1].io_evictions, 0u);
-  EXPECT_EQ(result.tenants[0].io_evictions + result.tenants[1].io_evictions,
-            result.io.evictions);
-  EXPECT_LE(result.tenants[1].occupancy_peak, 4u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // The shared I/O cache holds 4 blocks, 2 per tenant. Tenant 0 streams
+    // 4 distinct blocks through its 2-block quota and must absorb its own
+    // evictions; tenant 1 touches 2 blocks and evicts nothing.
+    const auto result = two_tenant_sim(topo, core)
+                            .run(two_thread_trace({10, 11, 12, 13}, {30, 31}));
+    ASSERT_EQ(result.tenants.size(), 2u);
+    EXPECT_GT(result.tenants[0].io_evictions, 0u);
+    EXPECT_EQ(result.tenants[1].io_evictions, 0u);
+    EXPECT_EQ(result.tenants[0].io_evictions + result.tenants[1].io_evictions,
+              result.io.evictions);
+    EXPECT_LE(result.tenants[1].occupancy_peak, 4u);
+  }
 }
 
 TEST(SimulatorQosTest, FewerSharesThanTenantsRejected) {
   const StorageTopology topo(qos_config({1}));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, {0, 0});
-  sim.set_tenants({0, 1}, 2);
-  EXPECT_THROW(sim.run(two_thread_trace({1}, {2})), std::invalid_argument);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    HierarchySimulator sim = two_tenant_sim(topo, core);
+    EXPECT_THROW(sim.run(two_thread_trace({1}, {2})), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_cores.hpp"
+
 namespace flo::storage {
 namespace {
 
@@ -19,12 +21,6 @@ TopologyConfig tiny_config(std::size_t io_blocks = 4,
   return c;
 }
 
-std::vector<NodeId> identity_io_mapping(const StorageTopology& topo) {
-  std::vector<NodeId> out(topo.config().compute_nodes);
-  for (NodeId c = 0; c < out.size(); ++c) out[c] = topo.io_node_of(c);
-  return out;
-}
-
 TraceProgram single_thread_trace(std::vector<std::uint64_t> blocks,
                                  std::uint64_t file_blocks = 64,
                                  std::uint32_t repeat = 1) {
@@ -40,53 +36,61 @@ TraceProgram single_thread_trace(std::vector<std::uint64_t> blocks,
 
 TEST(SimulatorTest, ColdMissesThenHits) {
   const StorageTopology topo(tiny_config());
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 2, 1, 2}));
-  EXPECT_EQ(result.io.lookups, 4u);
-  EXPECT_EQ(result.io.hits, 2u);
-  EXPECT_EQ(result.storage.lookups, 2u);  // the two cold misses
-  EXPECT_EQ(result.storage.hits, 0u);
-  EXPECT_EQ(result.disk_reads, 2u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo, PolicyKind::kLruInclusive)
+                            .run(single_thread_trace({1, 2, 1, 2}));
+    EXPECT_EQ(result.io.lookups, 4u);
+    EXPECT_EQ(result.io.hits, 2u);
+    EXPECT_EQ(result.storage.lookups, 2u);  // the two cold misses
+    EXPECT_EQ(result.storage.hits, 0u);
+    EXPECT_EQ(result.disk_reads, 2u);
+  }
 }
 
 TEST(SimulatorTest, InclusiveStorageHitAfterIoEviction) {
   const StorageTopology topo(tiny_config(/*io_blocks=*/2,
                                          /*storage_blocks=*/8));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  // Touch 1..3 (evicting 1 from the 2-block I/O cache), then re-touch 1:
-  // it misses at I/O but hits the inclusive storage cache.
-  const auto result = sim.run(single_thread_trace({1, 2, 3, 1}));
-  EXPECT_EQ(result.io.hits, 0u);
-  EXPECT_EQ(result.storage.lookups, 4u);
-  EXPECT_EQ(result.storage.hits, 1u);
-  EXPECT_EQ(result.disk_reads, 3u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // Touch 1..3 (evicting 1 from the 2-block I/O cache), then re-touch
+    // 1: it misses at I/O but hits the inclusive storage cache.
+    const auto result = sim_on(core, topo, PolicyKind::kLruInclusive)
+                            .run(single_thread_trace({1, 2, 3, 1}));
+    EXPECT_EQ(result.io.hits, 0u);
+    EXPECT_EQ(result.storage.lookups, 4u);
+    EXPECT_EQ(result.storage.hits, 1u);
+    EXPECT_EQ(result.disk_reads, 3u);
+  }
 }
 
 TEST(SimulatorTest, DemoteLruPopulatesStorageByDemotionOnly) {
   const StorageTopology topo(tiny_config(/*io_blocks=*/2,
                                          /*storage_blocks=*/8));
-  HierarchySimulator sim(topo, PolicyKind::kDemoteLru,
-                         identity_io_mapping(topo));
-  // 1, 2 fill the I/O cache; 3 evicts 1 which is demoted; re-access of 1
-  // hits the storage cache (exclusively) and is promoted back up.
-  const auto result = sim.run(single_thread_trace({1, 2, 3, 1}));
-  EXPECT_EQ(result.demotions, 2u);  // evictions of 1 (then of 2)
-  EXPECT_EQ(result.storage.hits, 1u);
-  EXPECT_EQ(result.disk_reads, 3u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // 1, 2 fill the I/O cache; 3 evicts 1 which is demoted; re-access of
+    // 1 hits the storage cache (exclusively) and is promoted back up.
+    const auto result = sim_on(core, topo, PolicyKind::kDemoteLru)
+                            .run(single_thread_trace({1, 2, 3, 1}));
+    EXPECT_EQ(result.demotions, 2u);  // evictions of 1 (then of 2)
+    EXPECT_EQ(result.storage.hits, 1u);
+    EXPECT_EQ(result.disk_reads, 3u);
+  }
 }
 
 TEST(SimulatorTest, DemoteLruStorageHitRemovesBlockBelow) {
   const StorageTopology topo(tiny_config(2, 8));
-  HierarchySimulator sim(topo, PolicyKind::kDemoteLru,
-                         identity_io_mapping(topo));
-  // After {1,2,3}: storage holds demoted 1. Then 1 hits storage (promoted,
-  // removed below) and 4, 1 again: the second 1 must hit I/O (it was
-  // promoted there), not storage.
-  const auto result = sim.run(single_thread_trace({1, 2, 3, 1, 1}));
-  EXPECT_EQ(result.storage.hits, 1u);
-  EXPECT_EQ(result.io.hits, 1u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // After {1,2,3}: storage holds demoted 1. Then 1 hits storage
+    // (promoted, removed below) and 4, 1 again: the second 1 must hit I/O
+    // (it was promoted there), not storage.
+    const auto result = sim_on(core, topo, PolicyKind::kDemoteLru)
+                            .run(single_thread_trace({1, 2, 3, 1, 1}));
+    EXPECT_EQ(result.storage.hits, 1u);
+    EXPECT_EQ(result.io.hits, 1u);
+  }
 }
 
 TEST(SimulatorTest, KarmaPinsRangesExclusively) {
@@ -96,26 +100,29 @@ TEST(SimulatorTest, KarmaPinsRangesExclusively) {
       {0, 4, 12, 2.0},   // pinned at storage
       {0, 12, 64, 0.1},  // uncached
   };
-  HierarchySimulator sim(topo, PolicyKind::kKarma,
-                         identity_io_mapping(topo), hints);
-  const auto result =
-      sim.run(single_thread_trace({0, 0, 5, 5, 20, 20}));
-  // Block 0: I/O-pinned (1 miss + 1 hit). Block 5: storage-pinned
-  // (1 miss + 1 hit). Block 20: uncached (2 disk reads).
-  EXPECT_EQ(result.io.lookups, 2u);
-  EXPECT_EQ(result.io.hits, 1u);
-  EXPECT_EQ(result.storage.lookups, 2u);
-  EXPECT_EQ(result.storage.hits, 1u);
-  EXPECT_EQ(result.disk_reads, 4u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo, PolicyKind::kKarma, hints)
+                            .run(single_thread_trace({0, 0, 5, 5, 20, 20}));
+    // Block 0: I/O-pinned (1 miss + 1 hit). Block 5: storage-pinned
+    // (1 miss + 1 hit). Block 20: uncached (2 disk reads).
+    EXPECT_EQ(result.io.lookups, 2u);
+    EXPECT_EQ(result.io.hits, 1u);
+    EXPECT_EQ(result.storage.lookups, 2u);
+    EXPECT_EQ(result.storage.hits, 1u);
+    EXPECT_EQ(result.disk_reads, 4u);
+  }
 }
 
 TEST(SimulatorTest, RepeatReplaysPhase) {
   const StorageTopology topo(tiny_config());
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 2}, 64, /*repeat=*/3));
-  EXPECT_EQ(result.io.lookups, 6u);
-  EXPECT_EQ(result.io.hits, 4u);  // warm after the first repetition
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo, PolicyKind::kLruInclusive)
+                            .run(single_thread_trace({1, 2}, 64, /*repeat=*/3));
+    EXPECT_EQ(result.io.lookups, 6u);
+    EXPECT_EQ(result.io.hits, 4u);  // warm after the first repetition
+  }
 }
 
 TEST(SimulatorTest, SharedIoCacheAcrossThreads) {
@@ -163,8 +170,6 @@ TEST(SimulatorTest, SeparateIoCachesDoNotShare) {
 
 TEST(SimulatorTest, ExecTimeIsMaxOverThreads) {
   const StorageTopology topo(tiny_config());
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
   TraceProgram trace;
   trace.file_blocks = {64};
   PhaseTrace phase;
@@ -172,51 +177,58 @@ TEST(SimulatorTest, ExecTimeIsMaxOverThreads) {
   for (std::uint64_t b = 0; b < 3; ++b) phase.per_thread[0].push_back({0, b, 1});
   phase.per_thread[1].push_back({0, 50, 1});
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  ASSERT_EQ(result.thread_time.size(), 4u);
-  EXPECT_GE(result.thread_time[0], result.thread_time[1]);
-  EXPECT_GE(result.exec_time, result.thread_time[0]);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo, PolicyKind::kLruInclusive).run(trace);
+    ASSERT_EQ(result.thread_time.size(), 4u);
+    EXPECT_GE(result.thread_time[0], result.thread_time[1]);
+    EXPECT_GE(result.exec_time, result.thread_time[0]);
+  }
 }
 
 TEST(SimulatorTest, DeterministicAcrossRuns) {
   const StorageTopology topo(tiny_config());
   const auto trace = single_thread_trace({3, 1, 4, 1, 5, 9, 2, 6}, 64, 2);
-  HierarchySimulator a(topo, PolicyKind::kLruInclusive,
-                       identity_io_mapping(topo));
-  HierarchySimulator b(topo, PolicyKind::kLruInclusive,
-                       identity_io_mapping(topo));
-  const auto ra = a.run(trace);
-  const auto rb = b.run(trace);
-  EXPECT_EQ(ra.exec_time, rb.exec_time);
-  EXPECT_EQ(ra.io.hits, rb.io.hits);
-  EXPECT_EQ(ra.storage.hits, rb.storage.hits);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto ra = sim_on(core, topo, PolicyKind::kLruInclusive).run(trace);
+    const auto rb = sim_on(core, topo, PolicyKind::kLruInclusive).run(trace);
+    EXPECT_EQ(ra.exec_time, rb.exec_time);
+    EXPECT_EQ(ra.io.hits, rb.io.hits);
+    EXPECT_EQ(ra.storage.hits, rb.storage.hits);
+  }
 }
 
 TEST(SimulatorTest, DisabledIoCacheRoutesToStorage) {
   TopologyConfig c = tiny_config();
   c.io_cache_enabled = false;
   const StorageTopology topo(c);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
-  const auto result = sim.run(single_thread_trace({1, 1}));
-  EXPECT_EQ(result.io.lookups, 0u);
-  EXPECT_EQ(result.storage.lookups, 2u);
-  EXPECT_EQ(result.storage.hits, 1u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result = sim_on(core, topo, PolicyKind::kLruInclusive)
+                            .run(single_thread_trace({1, 1}));
+    EXPECT_EQ(result.io.lookups, 0u);
+    EXPECT_EQ(result.storage.lookups, 2u);
+    EXPECT_EQ(result.storage.hits, 1u);
+  }
 }
 
 TEST(SimulatorTest, ElementCountsAccumulate) {
   const StorageTopology topo(tiny_config());
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive,
-                         identity_io_mapping(topo));
   TraceProgram trace;
   trace.file_blocks = {64};
   PhaseTrace phase;
   phase.per_thread.resize(1);
   phase.per_thread[0].push_back({0, 1, 100});
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  EXPECT_EQ(result.elements, 100u);
-  EXPECT_EQ(result.accesses, 1u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo, PolicyKind::kLruInclusive).run(trace);
+    EXPECT_EQ(result.elements, 100u);
+    EXPECT_EQ(result.accesses, 1u);
+  }
 }
 
 TEST(SimulatorTest, BadThreadMappingRejected) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sim_cores.hpp"
 #include "storage/sim_core.hpp"
 #include "storage/simulator.hpp"
 #include "util/rng.hpp"
@@ -70,12 +71,6 @@ std::vector<Variant> variants() {
   return out;
 }
 
-std::vector<NodeId> io_mapping(const StorageTopology& topo) {
-  std::vector<NodeId> out(topo.config().compute_nodes);
-  for (NodeId c = 0; c < out.size(); ++c) out[c] = topo.io_node_of(c);
-  return out;
-}
-
 /// Multi-phase, multi-thread extents with re-reads and writes. `threads`
 /// of 1 keeps the event core's closed-form phase path in play for the
 /// cache-less variant.
@@ -132,8 +127,7 @@ class StopTimeTest : public ::testing::TestWithParam<SimCoreKind> {
   SimulationResult run(const Variant& v, const TraceProgram& trace,
                        bool extents, double stop_at, bool* stopped) const {
     const StorageTopology topo(v.config);
-    HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_mapping(topo));
-    sim.set_core(GetParam());
+    HierarchySimulator sim = sim_on(GetParam(), topo);
     sim.set_extent_batching(extents);
     if (v.tenants) sim.set_tenants({0, 1, 0, 1}, 2);
     SimulationResult result =
@@ -208,8 +202,7 @@ TEST_P(StopTimeTest, ZeroLimitStopsAfterTheFirstStep) {
 TEST_P(StopTimeTest, StoppedFlagResetsOnTheNextRun) {
   const Variant v = variants().front();
   const StorageTopology topo(v.config);
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_mapping(topo));
-  sim.set_core(GetParam());
+  HierarchySimulator sim = sim_on(GetParam(), topo);
   const TraceProgram trace = random_trace(5, 4);
   const SimulationResult full = sim.run(trace);
   sim.run(trace, full.exec_time / 2);
@@ -219,8 +212,7 @@ TEST_P(StopTimeTest, StoppedFlagResetsOnTheNextRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothCores, StopTimeTest,
-                         ::testing::Values(SimCoreKind::kClock,
-                                           SimCoreKind::kEvent));
+                         ::testing::ValuesIn(kBothCores));
 
 }  // namespace
 }  // namespace flo::storage

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_cores.hpp"
 #include "storage/simulator.hpp"
 
 namespace flo::storage {
@@ -78,19 +79,24 @@ TEST(MaterializedTraceSourceTest, ExhaustedCursorStaysExhausted) {
 TEST(SimulatorTraceSourceTest, SourceOverloadMatchesMaterializedOverload) {
   const auto trace = two_phase_trace();
   const auto topology = tiny_topology();
-  const std::vector<NodeId> io{0, 0};
-  HierarchySimulator a(topology, PolicyKind::kLruInclusive, io);
-  HierarchySimulator b(topology, PolicyKind::kLruInclusive, io);
-  const auto direct = a.run(trace);
-  const auto adapted = b.run(MaterializedTraceSource(trace));
-  EXPECT_EQ(direct, adapted);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    HierarchySimulator a = sim_on(core, topology);
+    HierarchySimulator b = sim_on(core, topology);
+    const auto direct = a.run(trace);
+    const auto adapted = b.run(MaterializedTraceSource(trace));
+    EXPECT_EQ(direct, adapted);
+  }
 }
 
 TEST(SimulatorTraceSourceTest, RejectsMoreStreamsThanThreads) {
   TraceProgram trace = two_phase_trace();
   trace.phases[0].per_thread.push_back({{0, 4, 1, false}});  // third stream
-  HierarchySimulator sim(tiny_topology(), PolicyKind::kLruInclusive, {0, 0});
-  EXPECT_THROW(sim.run(trace), std::invalid_argument);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    HierarchySimulator sim = sim_on(core, tiny_topology());
+    EXPECT_THROW(sim.run(trace), std::invalid_argument);
+  }
 }
 
 }  // namespace

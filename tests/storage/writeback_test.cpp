@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sim_cores.hpp"
 #include "storage/sim_core.hpp"
 #include "storage/simulator.hpp"
 
@@ -18,8 +19,6 @@ TopologyConfig wb_config(bool model_writes) {
   return c;
 }
 
-std::vector<NodeId> io_map() { return {0, 0, 1, 1}; }
-
 TraceProgram write_scan(std::uint64_t blocks, bool writes) {
   TraceProgram trace;
   trace.file_blocks = {blocks + 8};
@@ -34,41 +33,49 @@ TraceProgram write_scan(std::uint64_t blocks, bool writes) {
 
 TEST(WritebackTest, DisabledByDefaultWritesBehaveLikeReads) {
   const StorageTopology topo(wb_config(false));
-  HierarchySimulator reader(topo, PolicyKind::kLruInclusive, io_map());
-  HierarchySimulator writer(topo, PolicyKind::kLruInclusive, io_map());
-  const auto r = reader.run(write_scan(12, /*writes=*/false));
-  const auto w = writer.run(write_scan(12, /*writes=*/true));
-  EXPECT_EQ(r.exec_time, w.exec_time);
-  EXPECT_EQ(w.writebacks, 0u);
-  EXPECT_EQ(w.disk_writes, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto r = sim_on(core, topo).run(write_scan(12, /*writes=*/false));
+    const auto w = sim_on(core, topo).run(write_scan(12, /*writes=*/true));
+    EXPECT_EQ(r.exec_time, w.exec_time);
+    EXPECT_EQ(w.writebacks, 0u);
+    EXPECT_EQ(w.disk_writes, 0u);
+  }
 }
 
 TEST(WritebackTest, DirtyEvictionsShipDown) {
   const StorageTopology topo(wb_config(true));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
-  // 12 written blocks stream through a 2-block I/O cache: 10 dirty
-  // evictions ship down to the 4-block storage cache, whose own dirty
-  // evictions reach the disk.
-  const auto result = sim.run(write_scan(12, /*writes=*/true));
-  EXPECT_GE(result.writebacks, 10u);
-  EXPECT_GT(result.disk_writes, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // 12 written blocks stream through a 2-block I/O cache: 10 dirty
+    // evictions ship down to the 4-block storage cache, whose own dirty
+    // evictions reach the disk.
+    const auto result =
+        sim_on(core, topo).run(write_scan(12, /*writes=*/true));
+    EXPECT_GE(result.writebacks, 10u);
+    EXPECT_GT(result.disk_writes, 0u);
+  }
 }
 
 TEST(WritebackTest, CleanEvictionsAreFree) {
   const StorageTopology topo(wb_config(true));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
-  const auto result = sim.run(write_scan(12, /*writes=*/false));
-  EXPECT_EQ(result.writebacks, 0u);
-  EXPECT_EQ(result.disk_writes, 0u);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto result =
+        sim_on(core, topo).run(write_scan(12, /*writes=*/false));
+    EXPECT_EQ(result.writebacks, 0u);
+    EXPECT_EQ(result.disk_writes, 0u);
+  }
 }
 
 TEST(WritebackTest, WriteTrafficCostsMoreThanReadTraffic) {
   const StorageTopology topo(wb_config(true));
-  HierarchySimulator reader(topo, PolicyKind::kLruInclusive, io_map());
-  HierarchySimulator writer(topo, PolicyKind::kLruInclusive, io_map());
-  const auto r = reader.run(write_scan(32, false));
-  const auto w = writer.run(write_scan(32, true));
-  EXPECT_GT(w.exec_time, r.exec_time);
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    const auto r = sim_on(core, topo).run(write_scan(32, false));
+    const auto w = sim_on(core, topo).run(write_scan(32, true));
+    EXPECT_GT(w.exec_time, r.exec_time);
+  }
 }
 
 // Inside the event≡clock envelope (one thread, 1/1/1 chain, prefetch off)
@@ -87,10 +94,7 @@ TopologyConfig flush_config() {
 }
 
 SimulationResult run_flush(const TraceProgram& trace, SimCoreKind core) {
-  const StorageTopology topo(flush_config());
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, {0});
-  sim.set_core(core);
-  return sim.run(trace);
+  return sim_on(core, StorageTopology(flush_config())).run(trace);
 }
 
 TEST(WritebackTest, TrailingWritebackChargedAtEndOfRun) {
@@ -124,7 +128,6 @@ TEST(WritebackTest, TrailingWritebackChargedAtEndOfRun) {
 
 TEST(WritebackTest, RewritingResidentBlockStaysDirtyOnce) {
   const StorageTopology topo(wb_config(true));
-  HierarchySimulator sim(topo, PolicyKind::kLruInclusive, io_map());
   TraceProgram trace;
   trace.file_blocks = {16};
   PhaseTrace phase;
@@ -135,8 +138,11 @@ TEST(WritebackTest, RewritingResidentBlockStaysDirtyOnce) {
   phase.per_thread[0].push_back({0, 2, 1, false});
   phase.per_thread[0].push_back({0, 3, 1, false});
   trace.phases.push_back(std::move(phase));
-  const auto result = sim.run(trace);
-  EXPECT_EQ(result.writebacks, 1u);  // block 0 shipped down exactly once
+  for (const SimCoreKind core : kBothCores) {
+    SCOPED_TRACE(sim_core_name(core));
+    // Block 0 is shipped down exactly once.
+    EXPECT_EQ(sim_on(core, topo).run(trace).writebacks, 1u);
+  }
 }
 
 }  // namespace

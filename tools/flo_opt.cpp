@@ -1,8 +1,8 @@
 // flo_opt — the standalone layout-optimizer driver.
 //
 //   flo_opt <program.flo> [--check] [--threads N] [--mask both|io|storage]
-//           [--simulate] [--pseudocode] [--faults SPEC] [--qos SPEC]
-//           [--sched look|fcfs|priority] [--metrics off|text|json|chrome]
+//           [--simulate] [--pseudocode] [--faults SPEC]
+//           [--metrics off|text|json|chrome]
 //
 // `--check` parses and validates only (no optimization, no output beyond
 // diagnostics) — the corpus tests and fuzzer repros use it as a fast
@@ -11,16 +11,11 @@
 // Reads a program in the text format of src/ir/parser.hpp, runs the
 // inter-node file layout optimizer against the (scaled) Table 1 topology,
 // prints the per-array transform plans, and optionally simulates the
-// default vs optimized executions. `--faults` (or the FLO_FAULTS
-// environment variable) injects storage faults into the simulation — see
-// src/storage/fault_model.hpp for the spec syntax. `--qos` / `--sched`
-// (or FLO_QOS / FLO_SCHED) apply a tenant QoS configuration — cache
-// partitioning shares and the disk scheduling policy, src/storage/qos.hpp
-// syntax; a malformed spec is a configuration error (exit 2), never a
-// silent fallback. `--metrics` (or
-// FLO_METRICS) dumps compile/simulation counters and spans to
-// flo_opt.metrics.* / flo_opt.trace.json next to the working directory;
-// stdout is unaffected.
+// default vs optimized executions. `--faults` injects storage faults into
+// the simulation — see src/storage/fault_model.hpp for the spec syntax.
+// `--metrics` (or FLO_METRICS) dumps compile/simulation counters and
+// spans to flo_opt.metrics.* / flo_opt.trace.json next to the working
+// directory; stdout is unaffected.
 //
 // Malformed programs produce a compiler-style `file:line: message`
 // diagnostic and exit code 2; other failures exit 1.
@@ -35,7 +30,6 @@
 #include "ir/printer.hpp"
 #include "obs/sink.hpp"
 #include "storage/fault_model.hpp"
-#include "storage/qos.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -45,7 +39,6 @@ int usage(const char* argv0) {
             << " <program.flo> [--check] [--threads N]"
                " [--mask both|io|storage]"
                " [--simulate] [--pseudocode] [--faults SPEC]"
-               " [--qos SPEC] [--sched look|fcfs|priority]"
                " [--metrics off|text|json|chrome]\n";
   return 2;
 }
@@ -63,8 +56,6 @@ int main(int argc, char** argv) {
   bool pseudocode = false;
   bool check_only = false;
   std::string fault_spec;
-  std::string qos_spec;
-  std::string sched_name;
   obs::SinkMode metrics = obs::sink_mode_from_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -72,11 +63,6 @@ int main(int argc, char** argv) {
       threads = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--faults" && i + 1 < argc) {
       fault_spec = argv[++i];
-    } else if (arg == "--qos" && i + 1 < argc) {
-      qos_spec = argv[++i];
-    } else if (arg == "--sched" && i + 1 < argc) {
-      sched_name = argv[++i];
-      if (!storage::parse_sched_policy(sched_name)) return usage(argv[0]);
     } else if (arg == "--metrics" && i + 1 < argc) {
       const std::string mode = argv[++i];
       metrics = obs::parse_sink_mode(mode);
@@ -108,23 +94,6 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return usage(argv[0]);
 
-  // QoS is configuration, not input: a malformed spec (flag or FLO_QOS /
-  // FLO_SCHED) is diagnosed up front and exits 2 like a parse error, so a
-  // typo never silently simulates without the partitioning asked for.
-  storage::QosConfig qos;
-  try {
-    qos = qos_spec.empty() ? storage::qos_config_from_env()
-                           : storage::parse_qos_spec(qos_spec);
-  } catch (const std::exception& err) {
-    std::cerr << "flo_opt.cpp: " << (qos_spec.empty() ? "FLO_QOS" : "--qos")
-              << ": " << err.what() << '\n';
-    return 2;
-  }
-  if (!sched_name.empty()) {
-    qos.scheduler = *storage::parse_sched_policy(sched_name);
-    qos.enabled = true;
-  }
-
   if (metrics != obs::SinkMode::kOff) obs::set_enabled(true);
 
   std::ifstream in(path);
@@ -147,10 +116,7 @@ int main(int argc, char** argv) {
     core::ExperimentConfig config;
     config.topology.compute_nodes = threads;
     config.threads = threads;
-    config.topology.fault = fault_spec.empty()
-                                ? storage::fault_config_from_env()
-                                : storage::parse_fault_spec(fault_spec);
-    config.topology.qos = qos;
+    config.topology.fault = storage::parse_fault_spec(fault_spec);
     const storage::StorageTopology topology(config.topology);
     const parallel::ParallelSchedule schedule(program, threads);
     const core::FileLayoutOptimizer optimizer(topology);

@@ -30,8 +30,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "service/server.hpp"
-#include "storage/qos.hpp"
-#include "storage/sim_core.hpp"
 
 namespace {
 
@@ -188,20 +186,6 @@ int main(int argc, char** argv) {
       throw ConfigError("--queue-depth", "must be at least 1");
     }
 
-    // A daemon must not discover a malformed FLO_SIM on its first compile
-    // (the engine reads it lazily per experiment config) — fail now.
-    try {
-      (void)storage::sim_core_from_env();
-    } catch (const std::exception& e) {
-      throw ConfigError("FLO_SIM", e.what());
-    }
-    // Same startup discipline for the tenant QoS knobs the compile path
-    // reads per request: a malformed spec fails here, not mid-service.
-    try {
-      (void)storage::qos_config_from_env();
-    } catch (const std::exception& e) {
-      throw ConfigError("FLO_QOS", e.what());
-    }
   } catch (const ConfigError& e) {
     std::cerr << "flo_serve: " << e.what() << "\n";
     return 2;

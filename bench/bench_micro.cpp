@@ -9,7 +9,6 @@
 #include "layout/chunk_pattern.hpp"
 #include "layout/canonical.hpp"
 #include "layout/internode.hpp"
-#include "storage/disk_model.hpp"
 #include "storage/lru_cache.hpp"
 #include "storage/simulator.hpp"
 #include "trace/generator.hpp"
@@ -197,66 +196,6 @@ void BM_HierarchySimulationStreaming(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HierarchySimulationStreaming);
-
-// --- Extent primitives: range ops against their per-block loops. -------
-
-void BM_LruTouchPerBlock(benchmark::State& state) {
-  constexpr std::size_t kCap = 8192;
-  const std::uint32_t run = static_cast<std::uint32_t>(state.range(0));
-  storage::LruCache cache(kCap);
-  for (std::uint64_t b = 0; b < kCap; ++b) cache.insert({0, b});
-  std::uint64_t base = 0;
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < run; ++i) {
-      benchmark::DoNotOptimize(cache.touch({0, base + i}));
-    }
-    base = (base + run) % (kCap - run);
-  }
-  state.SetItemsProcessed(state.iterations() * run);
-}
-BENCHMARK(BM_LruTouchPerBlock)->Arg(64);
-
-void BM_LruTouchRun(benchmark::State& state) {
-  constexpr std::size_t kCap = 8192;
-  const std::uint32_t run = static_cast<std::uint32_t>(state.range(0));
-  storage::LruCache cache(kCap);
-  for (std::uint64_t b = 0; b < kCap; ++b) cache.insert({0, b});
-  std::uint64_t base = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.touch_run({0, base}, run));
-    base = (base + run) % (kCap - run);
-  }
-  state.SetItemsProcessed(state.iterations() * run);
-}
-BENCHMARK(BM_LruTouchRun)->Arg(64);
-
-void BM_DiskServicePerBlock(benchmark::State& state) {
-  const std::uint32_t run = static_cast<std::uint32_t>(state.range(0));
-  storage::DiskArray disks(1, storage::DiskModel{}, 2048);
-  std::uint64_t lba = 0;
-  for (auto _ : state) {
-    double total = 0;
-    for (std::uint32_t i = 0; i < run; ++i) {
-      total += disks.service(0, lba + i);
-    }
-    benchmark::DoNotOptimize(total);
-    lba = (lba + 100003) % (1 << 24);  // scatter: pay a seek per extent
-  }
-  state.SetItemsProcessed(state.iterations() * run);
-}
-BENCHMARK(BM_DiskServicePerBlock)->Arg(64);
-
-void BM_DiskServiceRun(benchmark::State& state) {
-  const std::uint32_t run = static_cast<std::uint32_t>(state.range(0));
-  storage::DiskArray disks(1, storage::DiskModel{}, 2048);
-  std::uint64_t lba = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(disks.service_run(0, lba, run));
-    lba = (lba + 100003) % (1 << 24);
-  }
-  state.SetItemsProcessed(state.iterations() * run);
-}
-BENCHMARK(BM_DiskServiceRun)->Arg(64);
 
 // --- Simulator extent fast path vs the per-block reference. ------------
 //
@@ -474,4 +413,15 @@ BENCHMARK(BM_DiskKnobAblation)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus one context key: the JSON output's own
+// `library_build_type` describes the Google Benchmark library, so the
+// project's CMAKE_BUILD_TYPE is recorded as `flo_build_type` for
+// tools/check_perf_trajectory.py to compare against its baseline.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("flo_build_type", FLO_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

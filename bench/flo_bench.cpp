@@ -12,7 +12,7 @@
 // Metrics (--metrics / FLO_METRICS) and --out exports always go to side
 // files, never stdout.
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -21,11 +21,9 @@
 #include "bench/bench_common.hpp"
 #include "bench/scenario.hpp"
 #include "obs/sink.hpp"
-#include "util/json.hpp"
 
 namespace {
 
-using flo::bench::MetricRow;
 using flo::bench::ScenarioSpec;
 
 int usage(std::ostream& os, int rc) {
@@ -58,28 +56,6 @@ void list_scenarios(std::ostream& os) {
       os << (i != 0 ? " " : "") << spec.tags[i];
     }
     os << ")\n";
-  }
-}
-
-std::string format_value(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-void write_rows_csv(std::ostream& os, const std::vector<MetricRow>& rows) {
-  os << "scenario,key,value\n";
-  for (const auto& row : rows) {
-    os << row.scenario << ',' << row.key << ',' << format_value(row.value)
-       << '\n';
-  }
-}
-
-void write_rows_jsonl(std::ostream& os, const std::vector<MetricRow>& rows) {
-  for (const auto& row : rows) {
-    os << "{\"scenario\":\"" << flo::util::json_escape(row.scenario)
-       << "\",\"key\":\"" << flo::util::json_escape(row.key)
-       << "\",\"value\":" << format_value(row.value) << "}\n";
   }
 }
 
@@ -184,11 +160,8 @@ int main(int argc, char** argv) {
       std::cerr << "flo_bench: cannot write " << out_file << '\n';
       return 1;
     }
-    if (out_format == "csv") {
-      write_rows_csv(os, ctx.rows());
-    } else {
-      write_rows_jsonl(os, ctx.rows());
-    }
+    os << (out_format == "csv" ? flo::bench::rows_to_csv(ctx.rows())
+                               : flo::bench::rows_to_jsonl(ctx.rows()));
     std::cerr << "rows (" << out_format << "): " << out_file << '\n';
   }
 

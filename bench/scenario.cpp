@@ -1,6 +1,11 @@
 #include "bench/scenario.hpp"
 
+#include <cstdio>
+#include <sstream>
+
+#include "util/csv.hpp"
 #include "util/glob.hpp"
+#include "util/json.hpp"
 
 namespace flo::bench {
 
@@ -42,6 +47,34 @@ std::vector<const ScenarioSpec*> match_scenarios(
     if (matches(spec)) out.push_back(&spec);
   }
   return out;
+}
+
+namespace {
+
+std::string format_value(double value) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
+  return buffer;
+}
+
+}  // namespace
+
+std::string rows_to_csv(const std::vector<MetricRow>& rows) {
+  util::CsvWriter csv({"scenario", "key", "value"});
+  for (const auto& row : rows) {
+    csv.add_row({row.scenario, row.key, format_value(row.value)});
+  }
+  return csv.to_string();
+}
+
+std::string rows_to_jsonl(const std::vector<MetricRow>& rows) {
+  std::ostringstream os;
+  for (const auto& row : rows) {
+    os << "{\"scenario\":\"" << util::json_escape(row.scenario)
+       << "\",\"key\":\"" << util::json_escape(row.key)
+       << "\",\"value\":" << format_value(row.value) << "}\n";
+  }
+  return os.str();
 }
 
 }  // namespace flo::bench

@@ -67,4 +67,11 @@ const ScenarioSpec* find_scenario(const std::string& name);
 std::vector<const ScenarioSpec*> match_scenarios(
     const std::vector<std::string>& patterns);
 
+/// The --out exports of emitted rows. CSV has a `scenario,key,value`
+/// header and quotes any cell holding a comma, quote or newline (fig7d's
+/// keys name capacity tuples such as `(64,16,4)`); JSON Lines writes one
+/// object per row. Values print with 9 significant digits.
+std::string rows_to_csv(const std::vector<MetricRow>& rows);
+std::string rows_to_jsonl(const std::vector<MetricRow>& rows);
+
 }  // namespace flo::bench

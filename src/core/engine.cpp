@@ -92,7 +92,6 @@ std::string journal_key(const ExperimentJob& job,
 // absent cells — the run recomputes them.
 
 constexpr const char* kJournalTag = "flo-journal-v2";
-constexpr const char* kJournalTagV1 = "flo-journal-v1";
 constexpr const char* kJournalPrefix = "flo-journal-";
 
 class Journal {

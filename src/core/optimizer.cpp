@@ -2,7 +2,6 @@
 
 #include "layout/canonical.hpp"
 #include "obs/span.hpp"
-#include "util/log.hpp"
 
 namespace flo::core {
 
@@ -53,16 +52,6 @@ OptimizationResult FileLayoutOptimizer::optimize(
         5 * plan.partitioning.satisfied_weight <
             3 * plan.partitioning.total_weight;
 
-    if (too_small_to_matter && plan.partitioning.partitioned) {
-      FLO_LOG_DEBUG << program.name() << "/" << plan.array_name
-                    << ": skipped (fits " << 2 * topology_.config().io_cache_bytes
-                    << " B profitability bound)";
-    } else if (too_conflicted) {
-      FLO_LOG_DEBUG << program.name() << "/" << plan.array_name
-                    << ": skipped (only " << plan.partitioning.satisfied_weight
-                    << "/" << plan.partitioning.total_weight
-                    << " weighted references satisfiable)";
-    }
     layout::FileLayoutPtr chosen;
     if (!too_small_to_matter && !too_conflicted) {
       // Step II: hierarchy-aware chunk-pattern construction (Algorithm 1),

@@ -44,9 +44,6 @@ class HierarchyTemplate {
   std::vector<PatternLayer> reference_layers() const;
 
   std::size_t layer_count() const { return cache_counts_.size(); }
-  const std::vector<std::size_t>& cache_counts() const {
-    return cache_counts_;
-  }
 
   std::string describe() const;
 

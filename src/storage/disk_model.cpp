@@ -44,20 +44,6 @@ double DiskArray::service(NodeId disk, std::uint64_t lba) {
   return t;
 }
 
-double DiskArray::service_run(NodeId disk, std::uint64_t lba,
-                              std::uint32_t run_blocks) {
-  if (run_blocks == 0) return 0.0;
-  // First block pays the positioning cost; every later block is adjacent
-  // to the new head (distance 1 -> zero seek, zero rotation), i.e. exactly
-  // what per-block service() charges once the head is in place. Summation
-  // order matches the per-block loop for bitwise-equal totals.
-  double total = service(disk, lba);
-  for (std::uint32_t i = 1; i < run_blocks; ++i) {
-    total += service(disk, lba + i);
-  }
-  return total;
-}
-
 double DiskArray::peek_service(NodeId disk, std::uint64_t lba) const {
   const double seek = seek_time(head_.at(disk), lba);
   // Sequential reads (head already positioned) skip the rotational wait:

@@ -24,14 +24,6 @@ class DiskArray {
   /// Service time (s) for reading `lba` on `disk`; advances the head.
   double service(NodeId disk, std::uint64_t lba);
 
-  /// Service time (s) for the sequential extent [lba, lba + run_blocks):
-  /// seek + rotation once to reach `lba`, then the remaining blocks stream
-  /// under the head at transfer rate. Advances the head to the last block
-  /// and counts run_blocks reads. The total is accumulated exactly as
-  /// run_blocks successive service() calls would compute it, so extent and
-  /// per-block simulations report bit-identical times.
-  double service_run(NodeId disk, std::uint64_t lba, std::uint32_t run_blocks);
-
   /// Peeks the would-be service time without moving the head.
   double peek_service(NodeId disk, std::uint64_t lba) const;
 
@@ -56,8 +48,6 @@ class DiskArray {
   /// Current head position (the event core's elevator scheduler picks the
   /// next queued request relative to it).
   std::uint64_t head(NodeId disk) const { return head_.at(disk); }
-
-  std::size_t disk_count() const { return head_.size(); }
 
   std::uint64_t total_reads() const { return reads_; }
 

@@ -28,34 +28,6 @@ bool LruCache::touch(BlockKey key) {
   return true;
 }
 
-std::uint32_t LruCache::resident_run(BlockKey key,
-                                     std::uint32_t max_blocks) const {
-  const std::uint64_t base = key.packed();
-  std::uint32_t n = 0;
-  if (!parts_.empty()) {
-    while (n < max_blocks && owner_.find(base + n) != owner_.end()) ++n;
-    return n;
-  }
-  while (n < max_blocks && map_.find(base + n) != map_.end()) ++n;
-  return n;
-}
-
-std::uint32_t LruCache::touch_run(BlockKey key, std::uint32_t max_blocks) {
-  const std::uint64_t base = key.packed();
-  std::uint32_t n = 0;
-  if (!parts_.empty()) {
-    while (n < max_blocks && touch(BlockKey::unpack(base + n))) ++n;
-    return n;
-  }
-  while (n < max_blocks) {
-    const auto it = map_.find(base + n);
-    if (it == map_.end()) break;
-    order_.splice(order_.begin(), order_, it->second);
-    ++n;
-  }
-  return n;
-}
-
 std::optional<BlockKey> LruCache::insert(BlockKey key, std::uint32_t owner) {
   if (!parts_.empty()) {
     if (owner >= parts_.size()) {

@@ -45,21 +45,6 @@ class LruCache {
   /// If resident, promotes to MRU and returns true.
   bool touch(BlockKey key);
 
-  /// Longest resident prefix of the run [key, key + max_blocks): stops at
-  /// the first non-resident block. Does NOT update recency — the extent
-  /// fast path probes first so it can bound a run by the scheduler budget
-  /// before committing any recency changes.
-  std::uint32_t resident_run(BlockKey key, std::uint32_t max_blocks) const;
-
-  /// Promotes blocks key, key+1, ..., key+n-1 to MRU exactly as n
-  /// successive touch() calls would (final recency order: key+n-1 most
-  /// recent), stopping at the first non-resident block; returns the number
-  /// promoted. One call services a whole sequential extent: the per-block
-  /// cost is a single hash probe plus a list splice, with the dispatch,
-  /// scheduler, and cursor overheads of the per-block path paid once per
-  /// extent instead of once per block.
-  std::uint32_t touch_run(BlockKey key, std::uint32_t max_blocks);
-
   /// Inserts at MRU; returns the evicted key if capacity was exceeded.
   /// Inserting a resident key just promotes it (returns nullopt). When
   /// partitioned, `owner` names the tenant whose quota the block is
@@ -85,7 +70,6 @@ class LruCache {
   /// unpartitioned cache — the qos-neutrality oracle pins this.
   void set_partitions(std::vector<std::size_t> quotas);
   bool partitioned() const { return !parts_.empty(); }
-  std::size_t partition_count() const { return parts_.size(); }
   std::size_t partition_quota(std::uint32_t tenant) const;
   std::size_t partition_occupancy(std::uint32_t tenant) const;
   /// The tenant currently charged for a resident block, if partitioned.

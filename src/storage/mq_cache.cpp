@@ -101,19 +101,6 @@ bool MqCache::touch(BlockKey key, std::uint32_t requester) {
   return true;
 }
 
-std::uint32_t MqCache::touch_run(BlockKey key, std::uint32_t max_blocks,
-                                 std::uint32_t requester) {
-  // MQ's clock and expiry demotion advance per reference, so a run is
-  // genuinely n sequential touches — the saving is call/dispatch overhead,
-  // not algorithmic work.
-  std::uint32_t n = 0;
-  while (n < max_blocks &&
-         touch({key.file, key.block + n}, requester)) {
-    ++n;
-  }
-  return n;
-}
-
 std::optional<BlockKey> MqCache::insert(BlockKey key, std::uint32_t owner) {
   if (!parts_.empty()) {
     const auto it = owner_.find(key.packed());

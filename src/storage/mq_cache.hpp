@@ -44,13 +44,6 @@ class MqCache {
   /// blocks (hits advance the owning partition's clock).
   bool touch(BlockKey key, std::uint32_t requester = 0);
 
-  /// References blocks key, key+1, ..., stopping at the first non-resident
-  /// block or after max_blocks; returns the number touched. Equivalent to
-  /// that many successive touch() calls (each advances the logical clock
-  /// and runs expiry adjustment), so extent-path results match per-block.
-  std::uint32_t touch_run(BlockKey key, std::uint32_t max_blocks,
-                          std::uint32_t requester = 0);
-
   /// Inserts a missing block (ghost-queue frequency restored if present);
   /// returns the evicted block if capacity was exceeded. When partitioned
   /// the block is charged to `owner`'s quota and any victim comes from

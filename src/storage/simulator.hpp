@@ -65,7 +65,6 @@ class HierarchySimulator {
   /// per-block reference path; results are bit-identical either way — the
   /// switch exists so the equivalence suite and benchmarks can pin a path.
   void set_extent_batching(bool enabled) { extent_batching_ = enabled; }
-  bool extent_batching() const { return extent_batching_; }
 
   /// Simulation core selection (default: clock). The clock core is the
   /// golden reference; the event core models queueing at shared components

@@ -48,80 +48,6 @@ std::string SimulationResult::summary() const {
 
 namespace {
 
-void layer_line(std::ostringstream& os, const char* label,
-                const LayerStats& layer) {
-  os << "  " << label << ": " << layer.lookups << " lookups, " << layer.hits
-     << " hits (" << util::format_percent(layer.hit_rate()) << "), "
-     << layer.fills << " fills, " << layer.evictions << " evictions, "
-     << util::format_bytes(layer.bytes_filled) << " filled\n";
-}
-
-void fault_layer_line(std::ostringstream& os, const char* label,
-                      const FaultLayerStats& layer) {
-  os << "  " << label << ": " << layer.bypasses << " bypasses, "
-     << layer.transient_failures << " transient failures, "
-     << layer.slow_services << " slow services, "
-     << util::format_duration(layer.degraded_time) << " degraded\n";
-}
-
-void queue_layer_line(std::ostringstream& os, const char* label,
-                      const QueueLayerStats& layer) {
-  os << "  " << label << ": " << layer.waits << " waits, "
-     << util::format_duration(layer.wait_time) << " queued, peak depth "
-     << layer.max_depth << '\n';
-}
-
-}  // namespace
-
-std::string SimulationResult::detailed() const {
-  std::ostringstream os;
-  os << "exec " << util::format_duration(exec_time) << " over " << accesses
-     << " block requests (" << elements << " element accesses)\n";
-  layer_line(os, "io cache     ", io);
-  layer_line(os, "storage cache", storage);
-  os << "  disk         : " << disk_reads << " reads, " << disk_writes
-     << " writes\n";
-  os << "  traffic      : " << demotions << " demotions, " << writebacks
-     << " writebacks, " << prefetches << " prefetches";
-  if (queue.any()) {
-    os << '\n';
-    queue_layer_line(os, "queue io     ", queue.io);
-    queue_layer_line(os, "queue storage", queue.storage);
-    os << "  queue disk   : " << queue.disk.waits << " waits, "
-       << util::format_duration(queue.disk.wait_time) << " queued, peak depth "
-       << queue.disk.max_depth;
-  }
-  if (faults.any()) {
-    os << '\n';
-    fault_layer_line(os, "faults io    ", faults.io);
-    fault_layer_line(os, "faults storag", faults.storage);
-    fault_layer_line(os, "faults disk  ", faults.disk);
-    os << "  faults       : " << faults.exhausted_retries
-       << " exhausted retry budgets";
-  }
-  if (bound_bytes() != 0) {
-    os << '\n'
-       << "  bound        : " << util::format_bytes(achieved_bytes())
-       << " filled vs " << util::format_bytes(bound_bytes())
-       << " minimum (ratio " << util::format_fixed(achieved_ratio(), 2)
-       << ')';
-  }
-  for (std::size_t k = 0; k < tenants.size(); ++k) {
-    const TenantStats& t = tenants[k];
-    const double io_rate = t.io_lookups == 0
-                               ? 0.0
-                               : static_cast<double>(t.io_hits) / t.io_lookups;
-    os << '\n'
-       << "  tenant " << k << "      : " << t.accesses << " requests, io hit "
-       << util::format_percent(io_rate) << ", " << t.disk_reads
-       << " disk reads, " << util::format_bytes(t.bytes_filled) << " filled, "
-       << util::format_duration(t.busy_time) << " busy";
-  }
-  return os.str();
-}
-
-namespace {
-
 // --- wire codec -----------------------------------------------------------
 // Space-separated fields in a fixed order; integers in decimal, doubles as
 // C99 hexfloats ("%a") so values round-trip bit-exactly through text. The

@@ -170,10 +170,6 @@ struct SimulationResult {
 
   std::string summary() const;
 
-  /// Multi-line per-layer breakdown (lookups/hits/fills/evictions/bytes
-  /// per cache level plus the disk and traffic counters).
-  std::string detailed() const;
-
   /// Exact equality over every field, including per-thread times — the
   /// determinism and golden streaming-vs-eager tests rely on this being
   /// bitwise-strict (doubles compared with ==, not a tolerance).

@@ -21,7 +21,6 @@ class Striping {
            std::vector<std::uint64_t> file_blocks);
 
   std::size_t storage_nodes() const { return storage_nodes_; }
-  std::size_t file_count() const { return file_blocks_.size(); }
   std::uint64_t file_blocks(FileId file) const;
 
   /// Storage node holding block `block` of `file` (round-robin by stripe).

@@ -11,7 +11,7 @@ void emit_thread_events(const ir::Program& program, const ir::LoopNest& nest,
                         const parallel::BlockDecomposition& decomp,
                         parallel::ThreadId thread,
                         const layout::LayoutMap& layouts,
-                        std::uint64_t block_size, bool coalesce,
+                        std::uint64_t block_size,
                         storage::ThreadTrace& out) {
   const std::size_t depth = nest.depth();
   const std::size_t u = decomp.parallel_dim();
@@ -45,7 +45,7 @@ void emit_thread_events(const ir::Program& program, const ir::LoopNest& nest,
             static_cast<std::uint64_t>(rs.element_size);
         const std::uint64_t blk = byte / block_size;
         const bool is_write = rs.ref->kind == ir::AccessKind::kWrite;
-        if (coalesce && !out.empty() && out.back().file == rs.ref->array &&
+        if (!out.empty() && out.back().file == rs.ref->array &&
             out.back().block == blk && out.back().is_write == is_write) {
           ++out.back().element_count;
         } else {
@@ -78,8 +78,7 @@ void emit_thread_events(const ir::Program& program, const ir::LoopNest& nest,
 storage::TraceProgram generate_trace(const ir::Program& program,
                                      const parallel::ParallelSchedule& schedule,
                                      const layout::LayoutMap& layouts,
-                                     const storage::StorageTopology& topology,
-                                     const TraceOptions& options) {
+                                     const storage::StorageTopology& topology) {
   if (layouts.size() != program.arrays().size()) {
     throw std::invalid_argument("generate_trace: layouts size mismatch");
   }
@@ -106,7 +105,7 @@ storage::TraceProgram generate_trace(const ir::Program& program,
     phase.per_thread.resize(schedule.thread_count());
     for (parallel::ThreadId t = 0; t < schedule.thread_count(); ++t) {
       emit_thread_events(program, nest, schedule.decomposition(n), t, layouts,
-                         block_size, options.coalesce, phase.per_thread[t]);
+                         block_size, phase.per_thread[t]);
     }
     trace.phases.push_back(std::move(phase));
   }

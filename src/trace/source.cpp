@@ -19,11 +19,9 @@ class StreamingCursor final : public storage::ThreadCursor {
   StreamingCursor(const ir::Program& program, const ir::LoopNest& nest,
                   const parallel::BlockDecomposition& decomp,
                   parallel::ThreadId thread, const layout::LayoutMap& layouts,
-                  std::uint64_t block_size, bool coalesce, bool emit_extents)
-      : walker_(program, nest, decomp, thread, layouts, block_size,
-                /*merge_runs=*/coalesce),
-        coalesce_(coalesce),
-        emit_extents_(emit_extents && coalesce) {}
+                  std::uint64_t block_size, bool emit_extents)
+      : walker_(program, nest, decomp, thread, layouts, block_size),
+        emit_extents_(emit_extents) {}
 
   bool next(storage::AccessEvent& out) override {
     if (!emit_extents_) return next_block(out);
@@ -65,11 +63,6 @@ class StreamingCursor final : public storage::ThreadCursor {
       if (!walker_.next(pending_)) return false;
       has_pending_ = true;
     }
-    if (!coalesce_) {
-      out = pending_;
-      has_pending_ = false;
-      return true;
-    }
     storage::AccessEvent raw;
     while (walker_.next(raw)) {
       if (raw.file == pending_.file && raw.block == pending_.block &&
@@ -87,7 +80,6 @@ class StreamingCursor final : public storage::ThreadCursor {
   }
 
   ThreadNestWalker walker_;
-  bool coalesce_;
   bool emit_extents_;
   storage::AccessEvent pending_{};
   bool has_pending_ = false;
@@ -105,7 +97,6 @@ StreamingTraceSource::StreamingTraceSource(
       schedule_(&schedule),
       layouts_(&layouts),
       block_size_(topology.config().block_size),
-      coalesce_(options.coalesce),
       emit_extents_(options.emit_extents) {
   if (layouts.size() != program.arrays().size()) {
     throw std::invalid_argument("StreamingTraceSource: layouts size mismatch");
@@ -143,14 +134,14 @@ std::unique_ptr<storage::ThreadCursor> StreamingTraceSource::open(
     std::size_t phase, std::uint32_t thread) const {
   return std::make_unique<StreamingCursor>(
       *program_, program_->nests()[phase], schedule_->decomposition(phase),
-      thread, *layouts_, block_size_, coalesce_, emit_extents_);
+      thread, *layouts_, block_size_, emit_extents_);
 }
 
 std::size_t StreamingTraceSource::cursor_state_bytes(
     std::size_t phase, std::uint32_t thread) const {
   const StreamingCursor cursor(
       *program_, program_->nests()[phase], schedule_->decomposition(phase),
-      thread, *layouts_, block_size_, coalesce_, emit_extents_);
+      thread, *layouts_, block_size_, emit_extents_);
   return cursor.state_bytes();
 }
 

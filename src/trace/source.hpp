@@ -49,7 +49,6 @@ class StreamingTraceSource final : public storage::TraceSource {
   const parallel::ParallelSchedule* schedule_;
   const layout::LayoutMap* layouts_;
   std::uint64_t block_size_;
-  bool coalesce_;
   bool emit_extents_;
   std::vector<std::uint64_t> file_blocks_;
 };

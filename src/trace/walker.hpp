@@ -27,15 +27,14 @@ namespace flo::trace {
 
 class ThreadNestWalker {
  public:
-  /// `merge_runs` lets the walker emit one event per same-block run along
-  /// the innermost dimension (with the run's element count) instead of one
-  /// event per element; callers that coalesce downstream get an identical
-  /// coalesced stream either way, so they should pass true. Pass false to
-  /// observe the element-exact stream.
+  /// Where the nest's shape allows it, the walker emits one event per
+  /// same-block run along the innermost dimension (with the run's element
+  /// count) instead of one event per element; its caller coalesces
+  /// downstream, which yields the same stream either way.
   ThreadNestWalker(const ir::Program& program, const ir::LoopNest& nest,
                    const parallel::BlockDecomposition& decomp,
                    parallel::ThreadId thread, const layout::LayoutMap& layouts,
-                   std::uint64_t block_size, bool merge_runs = false)
+                   std::uint64_t block_size)
       : nest_(&nest),
         blocks_(decomp.blocks_of(thread)),
         depth_(nest.depth()),
@@ -79,7 +78,7 @@ class ThreadNestWalker {
     // dimension, which only the single-reference linear-layout shape
     // guarantees (with several references the raw stream interleaves them
     // within each iteration, so runs would reorder events).
-    merge_runs_ = merge_runs && depth_ > 0 && refs_.size() == 1 &&
+    merge_runs_ = depth_ > 0 && refs_.size() == 1 &&
                   !refs_[0].strides.empty();
     if (blocks_.empty() || refs_.empty()) {
       done_ = true;

@@ -135,5 +135,22 @@ TEST(SmokeScenarioTest, MetricsOnLeavesStdoutByteIdentical) {
   EXPECT_EQ(off.str(), on.str());
 }
 
+// fig7d's keys name capacity tuples; a comma inside a key must stay inside
+// its quoted cell so every CSV line keeps exactly three fields.
+TEST(RowExportTest, CsvQuotesKeysHoldingCommas) {
+  const std::vector<MetricRow> rows = {
+      {"fig7d", "avg_improvement.(64,16,4)", 0.25},
+      {"fig7d", "avg_improvement", 12.5}};
+  EXPECT_EQ(rows_to_csv(rows),
+            "scenario,key,value\n"
+            "fig7d,\"avg_improvement.(64,16,4)\",0.25\n"
+            "fig7d,avg_improvement,12.5\n");
+  EXPECT_EQ(rows_to_jsonl(rows),
+            "{\"scenario\":\"fig7d\",\"key\":"
+            "\"avg_improvement.(64,16,4)\",\"value\":0.25}\n"
+            "{\"scenario\":\"fig7d\",\"key\":\"avg_improvement\","
+            "\"value\":12.5}\n");
+}
+
 }  // namespace
 }  // namespace flo::bench

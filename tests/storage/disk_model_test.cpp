@@ -81,49 +81,37 @@ TEST(DiskArrayTest, InvalidParametersRejected) {
   EXPECT_THROW(DiskArray(1, bad, 2048), std::invalid_argument);
 }
 
-TEST(DiskArrayTest, ServiceRunMatchesPerBlockSum) {
-  DiskArray run_disks(2, default_model(), 2048);
-  DiskArray loop_disks(2, default_model(), 2048);
-  // A scattered position first, then a sequential extent: the extent pays
-  // the seek once and streams the rest, exactly as per-block calls would.
-  run_disks.service(0, 5000);
-  loop_disks.service(0, 5000);
-  const double bulk = run_disks.service_run(0, 123, 8);
-  double sum = loop_disks.service(0, 123);
-  for (std::uint64_t lba = 124; lba < 131; ++lba) {
-    sum += loop_disks.service(0, lba);
-  }
-  EXPECT_EQ(bulk, sum);  // bitwise: same adds in the same order
-  EXPECT_EQ(run_disks.total_reads(), loop_disks.total_reads());
-  // Heads end at the same place: the next read costs the same.
-  EXPECT_EQ(run_disks.peek_service(0, 500), loop_disks.peek_service(0, 500));
-}
-
-TEST(DiskArrayTest, ServiceRunStreamsAfterPositioning) {
+TEST(DiskArrayTest, PositionedReadsChargeSequentialTransfer) {
   DiskArray disks(1, default_model(), 2048);
   disks.service(0, 9000);
-  const double extent = disks.service_run(0, 100, 4);
-  DiskArray ref(1, default_model(), 2048);
-  ref.service(0, 9000);
-  const double first = ref.service(0, 100);
-  // Blocks after the first stream at pure transfer time.
+  const double first = disks.service(0, 100);  // pays the seek
+  // Once the head is in place, each further block streams at pure
+  // transfer time, bitwise equal to the constant the extent paths charge.
   const double transfer = 2048.0 / default_model().bandwidth;
-  EXPECT_NEAR(extent, first + 3 * transfer, 1e-12);
-  EXPECT_EQ(disks.service_run(0, 104, 0), 0.0);
+  EXPECT_NEAR(disks.sequential_transfer(), transfer, 1e-12);
+  EXPECT_GT(first, disks.sequential_transfer());
+  for (std::uint64_t lba = 101; lba < 104; ++lba) {
+    EXPECT_EQ(disks.service(0, lba), disks.sequential_transfer());
+  }
 }
 
-TEST(NetworkModelTest, RunCostsAccumulatePerBlock) {
-  LatencyModel lat;
-  const NetworkModel net(lat, 2048, 1.0e9);
-  double compute = 0;
-  double storage = 0;
-  for (int i = 0; i < 5; ++i) {
-    compute += net.compute_io_hop();
-    storage += net.io_storage_hop();
-  }
-  EXPECT_EQ(net.compute_io_run(5), compute);
-  EXPECT_EQ(net.io_storage_run(5), storage);
-  EXPECT_EQ(net.compute_io_run(0), 0.0);
+TEST(DiskArrayTest, NoteSequentialReadsMatchesServiceCalls) {
+  DiskArray noted(2, default_model(), 2048);
+  DiskArray served(2, default_model(), 2048);
+  noted.service(0, 5000);
+  served.service(0, 5000);
+  noted.service(0, 123);
+  served.service(0, 123);
+  noted.note_sequential_reads(0, 130, 7);
+  for (std::uint64_t lba = 124; lba < 131; ++lba) served.service(0, lba);
+  EXPECT_EQ(noted.total_reads(), served.total_reads());
+  EXPECT_EQ(noted.head(0), served.head(0));
+  // Heads end at the same place: the next read costs the same.
+  EXPECT_EQ(noted.peek_service(0, 500), served.peek_service(0, 500));
+  // An empty run leaves the array untouched.
+  noted.note_sequential_reads(0, 9999, 0);
+  EXPECT_EQ(noted.head(0), 130u);
+  EXPECT_EQ(noted.total_reads(), served.total_reads());
 }
 
 TEST(NetworkModelTest, HopCostsIncludeWireTime) {

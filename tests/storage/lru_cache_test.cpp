@@ -115,39 +115,5 @@ TEST(LruCacheTest, FilesDoNotCollide) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(LruCacheTest, ResidentRunCountsPrefixWithoutPromoting) {
-  LruCache cache(8);
-  for (std::uint64_t b = 0; b < 5; ++b) cache.insert(key(0, b));
-  EXPECT_EQ(cache.resident_run(key(0, 1), 10), 4u);  // 1..4 resident
-  EXPECT_EQ(cache.resident_run(key(0, 1), 2), 2u);   // capped by max
-  EXPECT_EQ(cache.resident_run(key(0, 5), 3), 0u);   // starts at a miss
-  // No recency change: block 0 is still the LRU victim.
-  EXPECT_EQ(cache.lru_key(), key(0, 0));
-}
-
-TEST(LruCacheTest, TouchRunMatchesSequentialTouches) {
-  LruCache run_cache(6);
-  LruCache loop_cache(6);
-  for (std::uint64_t b = 0; b < 6; ++b) {
-    run_cache.insert(key(0, b));
-    loop_cache.insert(key(0, b));
-  }
-  EXPECT_EQ(run_cache.touch_run(key(0, 1), 4), 4u);
-  for (std::uint64_t b = 1; b < 5; ++b) EXPECT_TRUE(loop_cache.touch(key(0, b)));
-  // Identical recency order afterwards: evictions proceed identically.
-  for (std::uint64_t b = 100; b < 106; ++b) {
-    EXPECT_EQ(run_cache.insert(key(0, b)), loop_cache.insert(key(0, b)));
-  }
-}
-
-TEST(LruCacheTest, TouchRunStopsAtFirstMiss) {
-  LruCache cache(8);
-  cache.insert(key(0, 0));
-  cache.insert(key(0, 1));
-  cache.insert(key(0, 3));  // hole at block 2
-  EXPECT_EQ(cache.touch_run(key(0, 0), 4), 2u);
-  EXPECT_EQ(cache.touch_run(key(0, 2), 4), 0u);
-}
-
 }  // namespace
 }  // namespace flo::storage

@@ -111,35 +111,6 @@ TEST(MqCacheTest, EraseAndClear) {
   EXPECT_FALSE(cache.contains(key(2)));
 }
 
-TEST(MqCacheTest, TouchRunMatchesSequentialTouches) {
-  // MQ's logical clock and expiry demotions advance per reference, so
-  // touch_run must leave the cache in exactly the state n touches would.
-  MqCache run_cache(8);
-  MqCache loop_cache(8);
-  for (std::uint64_t b = 0; b < 8; ++b) {
-    run_cache.insert(key(b));
-    loop_cache.insert(key(b));
-  }
-  EXPECT_EQ(run_cache.touch_run(key(2), 4), 4u);
-  for (std::uint64_t b = 2; b < 6; ++b) EXPECT_TRUE(loop_cache.touch(key(b)));
-  for (std::uint64_t b = 0; b < 8; ++b) {
-    EXPECT_EQ(run_cache.queue_of(key(b)), loop_cache.queue_of(key(b))) << b;
-  }
-  // Subsequent evictions agree too (same clocks, same queue contents).
-  for (std::uint64_t b = 50; b < 54; ++b) {
-    EXPECT_EQ(run_cache.insert(key(b)), loop_cache.insert(key(b)));
-  }
-}
-
-TEST(MqCacheTest, TouchRunStopsAtFirstMiss) {
-  MqCache cache(8);
-  cache.insert(key(0));
-  cache.insert(key(1));
-  cache.insert(key(5));
-  EXPECT_EQ(cache.touch_run(key(0), 8), 2u);
-  EXPECT_EQ(cache.touch_run(key(3), 8), 0u);
-}
-
 TEST(MqPolicyTest, SimulatorRunsWithMqStorageLevel) {
   TopologyConfig c;
   c.compute_nodes = 4;

@@ -111,17 +111,6 @@ TEST(GeneratorTest, MultipleReferencesInterleave) {
   EXPECT_EQ(events[1].file, 1u);
 }
 
-TEST(GeneratorTest, CoalescingCanBeDisabled) {
-  const auto p = row_scan_program(16);
-  const parallel::ParallelSchedule schedule(p, 4);
-  const auto layouts = layout::default_layouts(p);
-  TraceOptions options;
-  options.coalesce = false;
-  const auto trace =
-      generate_trace(p, schedule, layouts, tiny_topology(), options);
-  EXPECT_EQ(trace.phases[0].per_thread[0].size(), 64u);
-}
-
 TEST(GeneratorTest, ValidatesLayoutMap) {
   const auto p = row_scan_program(16);
   const parallel::ParallelSchedule schedule(p, 4);

@@ -48,11 +48,9 @@ std::vector<storage::AccessEvent> collect(const storage::TraceSource& source,
 void expect_matches_eager(const ir::Program& program,
                           const parallel::ParallelSchedule& schedule,
                           const layout::LayoutMap& layouts,
-                          const storage::StorageTopology& topology,
-                          const TraceOptions& options) {
-  const auto eager = generate_trace(program, schedule, layouts, topology, options);
-  const StreamingTraceSource source(program, schedule, layouts, topology,
-                                    options);
+                          const storage::StorageTopology& topology) {
+  const auto eager = generate_trace(program, schedule, layouts, topology);
+  const StreamingTraceSource source(program, schedule, layouts, topology);
   ASSERT_EQ(source.phase_count(), eager.phases.size());
   ASSERT_EQ(source.file_blocks(), eager.file_blocks);
   for (std::size_t phase = 0; phase < eager.phases.size(); ++phase) {
@@ -93,20 +91,6 @@ TEST(StreamingSourceTest, SequentialScanCoalescesToBlocks) {
   }
 }
 
-TEST(StreamingSourceTest, CoalescingCanBeDisabled) {
-  const auto p = row_scan_program(16);
-  const parallel::ParallelSchedule schedule(p, 4);
-  const auto layouts = layout::default_layouts(p);
-  TraceOptions options;
-  options.coalesce = false;
-  const StreamingTraceSource source(p, schedule, layouts, tiny_topology(),
-                                    options);
-  // One event per element access, all with element_count 1.
-  const auto events = collect(source, 0, 0);
-  EXPECT_EQ(events.size(), 64u);
-  for (const auto& e : events) EXPECT_EQ(e.element_count, 1u);
-}
-
 TEST(StreamingSourceTest, RepeatCarriedOnPhase) {
   const auto p = row_scan_program(16, /*repeat=*/5);
   const parallel::ParallelSchedule schedule(p, 4);
@@ -142,19 +126,14 @@ TEST(StreamingSourceTest, ValidatesLayoutMap) {
 }
 
 // Golden test 1: a multi-phase, multi-reference workload from the suite
-// must stream the exact event sequence the eager generator materializes,
-// with coalescing both on and off.
+// must stream the exact event sequence the eager generator materializes.
 TEST(StreamingSourceTest, GoldenMatchesEagerOnSuiteWorkloadSp) {
   const auto app = workloads::workload_by_name("sp");
   const storage::StorageTopology topology(
       storage::TopologyConfig::paper_default());
   const parallel::ParallelSchedule schedule(app.program, 64);
   const auto layouts = layout::default_layouts(app.program);
-  for (const bool coalesce : {true, false}) {
-    TraceOptions options;
-    options.coalesce = coalesce;
-    expect_matches_eager(app.program, schedule, layouts, topology, options);
-  }
+  expect_matches_eager(app.program, schedule, layouts, topology);
 }
 
 // Golden test 2: swim exercises the run-length batching fast path (single
@@ -165,11 +144,7 @@ TEST(StreamingSourceTest, GoldenMatchesEagerOnSuiteWorkloadSwim) {
       storage::TopologyConfig::paper_default());
   const parallel::ParallelSchedule schedule(app.program, 64);
   const auto layouts = layout::default_layouts(app.program);
-  for (const bool coalesce : {true, false}) {
-    TraceOptions options;
-    options.coalesce = coalesce;
-    expect_matches_eager(app.program, schedule, layouts, topology, options);
-  }
+  expect_matches_eager(app.program, schedule, layouts, topology);
 }
 
 // Acceptance: peak resident trace state is O(threads). A transposed sweep

@@ -8,7 +8,7 @@ throughput depends on the runner, so the gate works on *within-run ratios*
 are machine-independent: both sides of each ratio ran on the same machine
 seconds apart.
 
-Three kinds of gate:
+Four kinds of gate:
   1. hard floors — invariants of the implementation (the event core's
      closed-form phase path must deliver >= 2x the clock extent path on
      the cache-less sequential grid);
@@ -19,7 +19,11 @@ Three kinds of gate:
      stamped (--stamp) with a fingerprint of the bench-visible sources;
      when the working tree's fingerprint no longer matches the latest
      snapshot's stamp, bench-visible code changed without a new snapshot
-     and the gate fails. Pre-stamp snapshots only warn.
+     and the gate fails. Pre-stamp snapshots only warn;
+  4. build type — bench_micro records the project's CMAKE_BUILD_TYPE as
+     the `flo_build_type` context key; when both the fresh run and the
+     baseline carry it, they must agree (a Debug run against a Release
+     baseline compares nothing).
 
 Exit status 0 when every gate holds, 1 otherwise.
 """
@@ -39,10 +43,6 @@ TRACKED_RATIOS = [
      "BM_ExtentSimulationStreaming/0", 1.0),
     ("extent_warm_on_over_off", "BM_ExtentSimulation/1",
      "BM_ExtentSimulation/0", None),
-    ("lru_run_over_per_block", "BM_LruTouchRun/64",
-     "BM_LruTouchPerBlock/64", None),
-    ("disk_run_over_per_block", "BM_DiskServiceRun/64",
-     "BM_DiskServicePerBlock/64", None),
 ]
 
 
@@ -57,6 +57,7 @@ FINGERPRINTED_GLOBS = [
 ]
 
 STAMP_KEY = "flo_source_fingerprint"
+BUILD_TYPE_KEY = "flo_build_type"
 
 
 def source_fingerprint(repo_root):
@@ -100,6 +101,12 @@ def check_freshness(baseline_path, repo_root):
                 "re-run bench_micro and commit a new stamped "
                 "results/trajectory/BENCH_simulator.pr<N>.json"), None
     return None, None
+
+
+def build_type(path):
+    """The project build type bench_micro recorded, or None if unstamped."""
+    with open(path) as f:
+        return json.load(f).get("context", {}).get(BUILD_TYPE_KEY)
 
 
 def items_per_second(path):
@@ -196,6 +203,16 @@ def main():
         baseline = ratios_of(items_per_second(args.baseline))
 
     failures = []
+    if args.baseline:
+        current_type = build_type(args.current)
+        baseline_type = build_type(args.baseline)
+        if (current_type is not None and baseline_type is not None
+                and current_type != baseline_type):
+            failures.append(
+                f"build type {current_type!r} of {args.current} differs "
+                f"from build type {baseline_type!r} of the baseline "
+                f"{args.baseline}; record both with the same "
+                "CMAKE_BUILD_TYPE")
     if args.require_fresh and args.baseline:
         error, warning = check_freshness(args.baseline, args.repo_root)
         if error:

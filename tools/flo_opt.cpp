@@ -18,10 +18,14 @@
 // directory; stdout is unaffected.
 //
 // Malformed programs produce a compiler-style `file:line: message`
-// diagnostic and exit code 2; other failures exit 1.
+// diagnostic and exit code 2, as do a `--threads` value that is not a
+// positive integer and a malformed `--faults` spec; other failures exit 1.
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/engine.hpp"
@@ -43,6 +47,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The whole of `value` as a positive decimal integer (no sign, no
+/// trailing characters), or nullopt.
+std::optional<std::size_t> parse_positive(const std::string& value) {
+  std::size_t parsed = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, error] = std::from_chars(value.data(), last, parsed);
+  if (error != std::errc() || end != last || parsed == 0) return std::nullopt;
+  return parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,7 +74,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+      const std::string value = argv[++i];
+      const std::optional<std::size_t> parsed = parse_positive(value);
+      if (!parsed) {
+        std::cerr << "flo_opt: --threads: malformed positive integer '"
+                  << value << "'\n";
+        return 2;
+      }
+      threads = *parsed;
     } else if (arg == "--faults" && i + 1 < argc) {
       fault_spec = argv[++i];
     } else if (arg == "--metrics" && i + 1 < argc) {
@@ -94,6 +115,14 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return usage(argv[0]);
 
+  storage::FaultConfig faults;
+  try {
+    faults = storage::parse_fault_spec(fault_spec);
+  } catch (const std::invalid_argument& err) {
+    std::cerr << "flo_opt: --faults: " << err.what() << '\n';
+    return 2;
+  }
+
   if (metrics != obs::SinkMode::kOff) obs::set_enabled(true);
 
   std::ifstream in(path);
@@ -116,7 +145,7 @@ int main(int argc, char** argv) {
     core::ExperimentConfig config;
     config.topology.compute_nodes = threads;
     config.threads = threads;
-    config.topology.fault = storage::parse_fault_spec(fault_spec);
+    config.topology.fault = faults;
     const storage::StorageTopology topology(config.topology);
     const parallel::ParallelSchedule schedule(program, threads);
     const core::FileLayoutOptimizer optimizer(topology);
